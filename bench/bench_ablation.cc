@@ -74,7 +74,6 @@ void AblateWanMessages() {
     sim::Simulator simulator(1);
     core::BlockplaneOptions options;
     options.sign_messages = false;
-    options.hash_payloads = false;
     core::Deployment deployment(&simulator, net::Topology::Aws4(), options,
                                 BenchNet());
     protocols::BpPaxos paxos(&deployment);
@@ -135,7 +134,6 @@ void AblatePipelining() {
     sim::Simulator simulator(1);
     core::BlockplaneOptions options;
     options.sign_messages = false;
-    options.hash_payloads = false;
     options.daemon_window = window;
     core::Deployment deployment(&simulator, net::Topology::Aws4(), options,
                                 BenchNet());
@@ -159,14 +157,13 @@ void AblatePipelining() {
 // --- C: crypto cost ---------------------------------------------------------------
 
 void AblateCrypto() {
-  std::printf("--- C. real crypto vs the paper's prototype mode "
-              "(local commit, 100 KB batches) ---\n");
+  std::printf("--- C. HMAC signatures on vs the paper's prototype mode "
+              "(local commit, 100 KB batches; SHA-256 digests in both) ---\n");
   std::printf("%24s %14s\n", "mode", "latency (ms)");
-  for (bool crypto_on : {false, true}) {
+  for (bool sign_on : {false, true}) {
     sim::Simulator simulator(1);
     core::BlockplaneOptions options;
-    options.sign_messages = crypto_on;
-    options.hash_payloads = crypto_on;
+    options.sign_messages = sign_on;
     options.checkpoint_interval = 8;
     options.prune_applied_log = 8;
     core::Deployment deployment(&simulator,
@@ -184,11 +181,11 @@ void AblateCrypto() {
       if (i >= 20) latency_ms.Add(sim::ToMillis(simulator.Now() - start));
     }
     std::printf("%24s %14.2f\n",
-                crypto_on ? "SHA-256 + HMAC signatures" : "paper mode (none)",
+                sign_on ? "HMAC signatures" : "paper mode (unsigned)",
                 latency_ms.Mean());
   }
   std::printf("(simulated network time is identical; the real crypto cost "
-              "is host CPU, visible in bench_micro.)\n\n");
+              "is host CPU: e2ebench local_bulk's cpu_us_per_op.)\n\n");
 }
 
 // --- E: resource & message cost summary (§VI-D) ---------------------------------
@@ -203,7 +200,6 @@ void AblateCosts() {
     core::BlockplaneOptions options;
     options.fi = fi;
     options.sign_messages = false;
-    options.hash_payloads = false;
     core::Deployment deployment(&simulator,
                                 net::Topology::SingleSite("Virginia"),
                                 options, BenchNet());
@@ -242,7 +238,6 @@ void AblateQuorumCerts() {
     core::BlockplaneOptions options;
     options.fi = 1;
     options.sign_messages = true;
-    options.hash_payloads = true;
     options.qc.enabled = qc_on;
     core::Deployment deployment(&simulator, net::Topology::Aws4(), options,
                                 BenchNet());

@@ -21,7 +21,6 @@ double RunOne(net::SiteId site, int fg) {
   options.fi = 1;
   options.fg = fg;
   options.sign_messages = false;
-  options.hash_payloads = false;
   options.checkpoint_interval = 16;
   net::NetworkOptions net_options;
   net_options.intra_site_one_way = sim::Microseconds(100);
@@ -57,7 +56,6 @@ void RunTraced(const std::string& path) {
   options.fi = 1;
   options.fg = 1;
   options.sign_messages = false;
-  options.hash_payloads = false;
   net::NetworkOptions net_options;
   net_options.intra_site_one_way = sim::Microseconds(100);
   net_options.per_message_cpu = sim::Microseconds(25);

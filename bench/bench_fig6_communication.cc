@@ -29,7 +29,6 @@ double RunOne(net::SiteId src, net::SiteId dest) {
   core::BlockplaneOptions options;
   options.fi = 1;
   options.sign_messages = false;
-  options.hash_payloads = false;
   net::NetworkOptions net_options;
   net_options.intra_site_one_way = sim::Microseconds(100);
   net_options.per_message_cpu = sim::Microseconds(25);
@@ -108,7 +107,6 @@ QcRun RunQcScenario(bool qc_on, int fg, int messages) {
   options.fi = 1;
   options.fg = fg;
   options.sign_messages = true;
-  options.hash_payloads = true;
   options.qc.enabled = qc_on;
   net::NetworkOptions net_options;
   net_options.intra_site_one_way = sim::Microseconds(100);

@@ -67,7 +67,6 @@ double RunBpPaxos(net::SiteId leader) {
   sim::Simulator simulator(1);
   core::BlockplaneOptions options;
   options.sign_messages = false;
-  options.hash_payloads = false;
   core::Deployment deployment(&simulator, net::Topology::Aws4(), options,
                               BenchNet());
   protocols::BpPaxos paxos(&deployment);

@@ -40,7 +40,6 @@ core::BlockplaneOptions GeoOptions() {
   options.fi = 1;
   options.fg = 1;
   options.sign_messages = false;
-  options.hash_payloads = false;
   options.checkpoint_interval = 16;
   return options;
 }

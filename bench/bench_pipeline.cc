@@ -59,7 +59,6 @@ Result RunWanPbft(uint64_t window, uint64_t target_commits) {
   config.window = window;
   config.checkpoint_interval = 32;
   config.sign_messages = false;
-  config.hash_payloads = false;
   // Wide-area deployment: timeouts must exceed WAN round trips.
   config.view_timeout = sim::Milliseconds(1500);
   config.client_retry = sim::Milliseconds(3000);
@@ -110,7 +109,6 @@ Result RunGeoCommit(uint64_t window, uint64_t target_commits) {
   options.fi = 1;
   options.fg = 1;
   options.sign_messages = false;
-  options.hash_payloads = false;
   options.checkpoint_interval = 32;
   options.pbft_window = window;
   options.participant_window = window;
@@ -178,7 +176,6 @@ DeliveryResult RunDelivery(bool adaptive, uint64_t daemon_window, double loss,
   options.fi = 1;
   options.fg = 0;
   options.sign_messages = false;
-  options.hash_payloads = false;
   options.checkpoint_interval = 32;
   options.pbft_window = 8;
   options.daemon_window = daemon_window;

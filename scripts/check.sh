@@ -7,6 +7,11 @@
 #      cross-site send through the full pipeline and archives every
 #      registered counter group as build/METRICS_dump.json (validated as
 #      JSON when python3 is available).
+#   2b. End-to-end benchmark self-test: e2ebench/test_e2ebench.py builds
+#       e2ebench into .bench_build/ and runs every workload's short
+#       mode, untraced and traced, checking each result against
+#       BENCHMARK.json and that injected violations are caught (about
+#       20 s after the build). Runs under --fast too.
 #   3. Pipeline smoke: bench_pipeline --smoke compares window 1 vs 8 on
 #      the Table-I WAN matrix and fails unless window 8 is strictly
 #      faster (the DESIGN.md §9 pipelining regression gate), then sweeps
@@ -49,7 +54,7 @@
 #      a passing test hides.
 #
 # Usage: scripts/check.sh [--fast|--chaos-smoke|--tsan]
-#   --fast         passes 1–3b + bplint; skip clang-tidy and sanitizers.
+#   --fast         passes 1–3c + bplint; skip clang-tidy and sanitizers.
 #   --chaos-smoke  quick chaos gate (<60s): build, then run the chaos
 #                  regression + a reduced soak (2 seeds per template via
 #                  CHAOS_SOAK_SEEDS) and the fig-8 chaos bench variant,
@@ -153,6 +158,10 @@ if command -v python3 >/dev/null 2>&1; then
     || { echo "METRICS_dump.json is not valid JSON"; exit 1; }
 fi
 echo "metrics snapshot OK (build/METRICS_dump.json)"
+
+echo "=== pass 2b: e2ebench self-test (short mode of every workload) ==="
+python3 e2ebench/test_e2ebench.py
+echo "e2ebench self-test OK"
 
 echo "=== pass 3: pipeline smoke (window 1 vs 8, adaptive vs static) ==="
 build/bench/bench_pipeline --smoke --out=build/BENCH_pipeline.json

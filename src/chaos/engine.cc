@@ -86,10 +86,9 @@ class Engine {
     options.participant_window = cfg.participant_window;
     options.congestion.adaptive = cfg.adaptive_windows;
     options.qc.enabled = cfg.quorum_certs;
-    // Byzantine detection depends on real signatures; corruption bursts
-    // depend on real digests. Chaos always runs with crypto on.
+    // Byzantine detection depends on real signatures. Chaos always runs
+    // with crypto on.
     options.sign_messages = true;
-    options.hash_payloads = true;
     return options;
   }
 

@@ -98,9 +98,9 @@ struct BlockplaneOptions {
   /// to false.
   QuorumCertOptions qc;
 
-  /// Bench-mode switches mirroring the paper's prototype, which "does not
-  /// implement creating and checking signatures and digests".
-  bool hash_payloads = true;
+  /// Bench-mode switch mirroring the paper's prototype, which "does not
+  /// implement creating and checking signatures and digests". Payload
+  /// digests are always SHA-256 (DESIGN.md §7).
   bool sign_messages = true;
 
   /// Parallel-runtime seam (DESIGN.md §12): the Runner every node of the

@@ -40,7 +40,6 @@ Participant::Participant(net::Network* network, crypto::KeyStore* keys,
       self_(ParticipantNodeId(site)),
       mirror_sites_(std::move(mirror_sites)) {
   signer_ = keys_->RegisterNode(self_);
-  unit_group_.hash_payloads = options_.hash_payloads;
   unit_group_.sign_messages = options_.sign_messages;
   unit_group_.view_timeout = options_.local_view_timeout;
   unit_group_.client_retry = options_.local_client_retry;
@@ -742,7 +741,6 @@ pbft::PbftClient* Participant::MirrorClient(net::SiteId origin) {
   for (int i = 0; i < 3 * options_.fi + 1; ++i) {
     group.nodes.push_back(MirrorNodeId(site_, origin, i));
   }
-  group.hash_payloads = options_.hash_payloads;
   group.sign_messages = options_.sign_messages;
   group.view_timeout = options_.local_view_timeout;
   group.client_retry = options_.local_client_retry;

@@ -4,12 +4,13 @@
 
 #include "common/bytes.h"
 #include "common/macros.h"
+#include "crypto/sha256_kernels.h"
 
 namespace blockplane::crypto {
 
-namespace {
+namespace internal {
 
-constexpr uint32_t kK[64] = {
+const uint32_t kSha256RoundConstants[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -22,9 +23,93 @@ constexpr uint32_t kK[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
+}  // namespace internal
+
+namespace {
+
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+void ProcessBlock(uint32_t state[8], const uint8_t block[64]) {
+  uint32_t w[64];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
+           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
+           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
+           static_cast<uint32_t>(block[i * 4 + 3]);
+  }
+  for (int i = 16; i < 64; ++i) {
+    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+  for (int i = 0; i < 64; ++i) {
+    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+    uint32_t ch = (e & f) ^ (~e & g);
+    uint32_t temp1 =
+        h + s1 + ch + internal::kSha256RoundConstants[i] + w[i];
+    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    uint32_t temp2 = s0 + maj;
+    h = g;
+    g = f;
+    f = e;
+    e = d + temp1;
+    d = c;
+    c = b;
+    b = a;
+    a = temp1 + temp2;
+  }
+
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+struct Kernel {
+  void (*compress)(uint32_t state[8], const uint8_t* data, size_t nblocks);
+  const char* name;
+};
+
+// Chosen once, from the CPU, on first use. A function-local static rather
+// than a namespace-scope one, so a digest taken while another file's statics
+// are being initialised still finds the kernel chosen.
+const Kernel& ActiveKernel() {
+  static const Kernel kernel = []() -> Kernel {
+#if defined(__x86_64__)
+    if (internal::CpuHasShaNi()) {
+      return {internal::Sha256CompressShaNi, "sha-ni"};
+    }
+#endif
+    return {internal::Sha256CompressPortable, "portable"};
+  }();
+  return kernel;
+}
+
+void Compress(uint32_t state[8], const uint8_t* data, size_t nblocks) {
+  ActiveKernel().compress(state, data, nblocks);
+}
+
 }  // namespace
+
+namespace internal {
+
+void Sha256CompressPortable(uint32_t state[8], const uint8_t* data,
+                            size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) ProcessBlock(state, data);
+}
+
+}  // namespace internal
+
+const char* Sha256KernelName() { return ActiveKernel().name; }
 
 void Sha256::Reset() {
   state_[0] = 0x6a09e667;
@@ -39,68 +124,30 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(const uint8_t* data, size_t len) {
+  if (len == 0) return;
   total_len_ += len;
-  while (len > 0) {
-    if (buffer_len_ == 0 && len >= 64) {
-      ProcessBlock(data);
-      data += 64;
-      len -= 64;
-      continue;
-    }
-    size_t take = std::min(len, 64 - buffer_len_);
+  if (buffer_len_ > 0) {
+    const size_t take = std::min(len, 64 - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
+  }
+  // Every whole block goes to the kernel in one call, straight from the
+  // caller's bytes, so a long payload keeps the state in registers.
+  const size_t nblocks = len / 64;
+  if (nblocks > 0) {
+    Compress(state_, data, nblocks);
+    data += nblocks * 64;
+    len -= nblocks * 64;
+  }
+  if (len > 0) {
+    std::memcpy(buffer_, data, len);
+    buffer_len_ = len;
   }
 }
 
@@ -115,14 +162,14 @@ Digest Sha256::Finish() {
   if (n > 56) {
     // No room for the length in this block; zero-fill and spill over.
     std::memset(buffer_ + n, 0, 64 - n);
-    ProcessBlock(buffer_);
+    Compress(state_, buffer_, 1);
     n = 0;
   }
   std::memset(buffer_ + n, 0, 56 - n);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  ProcessBlock(buffer_);
+  Compress(state_, buffer_, 1);
   buffer_len_ = 0;
 
   Digest out;

@@ -1,5 +1,7 @@
 // SHA-256 (FIPS 180-4), implemented from scratch. Used for message digests
-// in PBFT pre-prepares and as the MAC core for node signatures.
+// in PBFT pre-prepares and as the MAC core for node signatures. Blocks are
+// compressed by a portable C++ kernel, or by the x86 SHA extensions where
+// the CPU has them (sha256_kernels.h).
 #ifndef BLOCKPLANE_CRYPTO_SHA256_H_
 #define BLOCKPLANE_CRYPTO_SHA256_H_
 
@@ -48,8 +50,6 @@ class Sha256 {
   void RestoreMidstate(const Sha256Midstate& midstate);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t total_len_ = 0;
   uint8_t buffer_[64];
@@ -64,6 +64,11 @@ inline Digest Sha256Digest(const Bytes& data) {
 inline Digest Sha256Digest(std::string_view s) {
   return Sha256Digest(reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
+
+/// The compression kernel this process runs, chosen once from the CPU:
+/// "sha-ni" on x86-64 CPUs with the SHA extensions, "portable" elsewhere.
+/// Every kernel computes the same digests; only the speed differs.
+const char* Sha256KernelName();
 
 std::string DigestToHex(const Digest& d);
 inline Bytes DigestToBytes(const Digest& d) {

@@ -67,10 +67,6 @@ struct PbftConfig {
   /// Fired when this replica initiates a view change (churn signal).
   std::function<void()> on_view_change;
 
-  /// When false, payload digests use a fast non-cryptographic hash. The
-  /// paper's prototype skipped digest creation/checking entirely; benches
-  /// use this mode (see DESIGN.md §1).
-  bool hash_payloads = true;
   /// When false, message signing/verification is skipped (bench mode).
   bool sign_messages = true;
 

@@ -42,9 +42,9 @@ using crypto::Signature;
 uint64_t ClientToken(net::NodeId id);
 net::NodeId ClientFromToken(uint64_t token);
 
-/// Payload digest: SHA-256 when crypto_hash, otherwise a fast FNV-1a-based
-/// 128-bit fingerprint (bench mode; see PbftConfig::hash_payloads).
-Digest ComputeDigest(const Bytes& value, bool crypto_hash);
+/// Payload digest: SHA-256 of the value, in every mode. Each replica takes
+/// it once per instance and hands it to the execute callback (DESIGN.md §7).
+Digest ComputeDigest(const Bytes& value);
 
 struct RequestMsg {
   uint64_t client_token = 0;

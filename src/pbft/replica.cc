@@ -375,7 +375,7 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
   PrePrepareMsg pp;
   pp.view = view_;
   pp.seq = seq;
-  pp.digest = DigestOf(value);
+  pp.digest = ComputeDigest(value);
   pp.client_token = client_token;
   pp.req_id = req_id;
   pp.value = std::move(value);
@@ -401,7 +401,7 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
       PrePrepareMsg forged = pp;
       if (parity++ % 2 == 1) {
         forged.value.push_back(0xEE);
-        forged.digest = DigestOf(forged.value);
+        forged.digest = ComputeDigest(forged.value);
         forged.sig = Sign(forged.CanonicalHeader());
       }
       SendTo(node, kPrePrepare, forged.Encode(), trace_id);
@@ -429,7 +429,7 @@ common::Runner::Prologue PbftReplica::ProloguePrePrepare(net::Message msg) {
                             : VerifySigPure(pp->CanonicalHeader(), pp->sig);
     if (!sig_ok) return nullptr;
     if (pp->sig.signer != msg.src) return nullptr;
-    if (DigestOf(pp->value) != pp->digest) return nullptr;
+    if (ComputeDigest(pp->value) != pp->digest) return nullptr;
     const uint64_t trace_id = msg.trace_id;
     return [this, pp, trace_id]() {
       OnPrePrepareVerified(std::move(*pp), trace_id);
@@ -620,6 +620,10 @@ void PbftReplica::ExecuteReady() {
     if (it == instances_.end() || !it->second.committed) break;
     Instance& instance = it->second;
     uint64_t seq = last_executed_ + 1;
+    // Every path that fills an instance computed or checked its digest
+    // (propose, pre-prepare, committed-entry fetch, view-change carry-over),
+    // so the execute callback takes it instead of hashing the value again.
+    BP_DCHECK(instance.digest == ComputeDigest(instance.value));
 
     bool is_noop = instance.client_token == 0 && instance.value.empty();
     bool duplicate =
@@ -634,7 +638,7 @@ void PbftReplica::ExecuteReady() {
       chain.PutRaw(state_digest_.data(), state_digest_.size());
       chain.PutRaw(instance.digest.data(), instance.digest.size());
       state_digest_ = crypto::Sha256Digest(chain.buffer());
-      if (execute_) execute_(seq, instance.value);
+      if (execute_) execute_(seq, instance.value, instance.digest);
       Tracer& tr = tracer();
       if (tr.enabled() && instance.trace_id != 0) {
         // Per-replica phase spans: how long this instance spent reaching
@@ -765,7 +769,7 @@ void PbftReplica::OnCommittedEntry(const net::Message& msg) {
   auto existing = instances_.find(entry.seq);
   if (existing != instances_.end() && existing->second.committed) return;
 
-  if (DigestOf(entry.value) != entry.digest) return;
+  if (ComputeDigest(entry.value) != entry.digest) return;
   if (config_.sign_messages) {
     // The certificate must hold 2f+1 distinct valid commit votes.
     VoteMsg commit;
@@ -1031,10 +1035,10 @@ void PbftReplica::MaybeSendNewView(uint64_t v) {
 }
 
 bool PbftReplica::ValidatePreparedProof(const PreparedProof& proof) const {
+  // Checked in every mode: the carried digest reaches the execute
+  // callback unrecomputed.
+  if (ComputeDigest(proof.value) != proof.digest) return false;
   if (!config_.sign_messages) return true;
-  if (ComputeDigest(proof.value, config_.hash_payloads) != proof.digest) {
-    return false;
-  }
   // The pre-prepare must be signed by the leader of the view it cites.
   PrePrepareMsg pp;
   pp.view = proof.view;
@@ -1153,7 +1157,7 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
       proof.value.clear();
       proof.client_token = 0;
       proof.req_id = 0;
-      proof.digest = DigestOf(proof.value);
+      proof.digest = ComputeDigest(proof.value);
     }
     auto inst_it = instances_.find(seq);
     if (inst_it != instances_.end() && inst_it->second.committed) {

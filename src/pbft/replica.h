@@ -55,9 +55,11 @@ enum class ByzantineMode {
 
 class PbftReplica : public net::Host {
  public:
-  /// Called for every committed value, in sequence order.
-  using ExecuteCallback =
-      std::function<void(uint64_t seq, const Bytes& value)>;
+  /// Called for every committed value, in sequence order, with its
+  /// payload digest (already checked against the value, so callers need
+  /// not hash it again).
+  using ExecuteCallback = std::function<void(
+      uint64_t seq, const Bytes& value, const Digest& digest)>;
   /// The Blockplane verification-routine hook. Returning false withholds
   /// this replica's commit vote for the value.
   using Verifier = std::function<bool(const Bytes& value)>;
@@ -269,9 +271,6 @@ class PbftReplica : public net::Host {
   const Bytes& CanonicalBodyFor(const VoteMsg& vote);
   Signature Sign(const Bytes& canonical) const;
   bool VerifySig(const Bytes& canonical, const Signature& sig) const;
-  Digest DigestOf(const Bytes& value) const {
-    return ComputeDigest(value, config_.hash_payloads);
-  }
   bool RunVerifier(const Bytes& value) const;
 
   net::Network* network_;

@@ -173,17 +173,15 @@ TEST(PbftMessageTest, CommittedEntryRoundTrip) {
   EXPECT_EQ(out.commit_sigs.size(), 3u);
 }
 
-TEST(PbftMessageTest, FastDigestDistinguishesContentAndLength) {
-  // Bench-mode digests are not cryptographic but must still separate
-  // different payloads and lengths.
+TEST(PbftMessageTest, PayloadDigestIsSha256) {
+  // One digest in every mode: SHA-256 of the payload, which separates
+  // different contents and lengths.
   Bytes a = ToBytes("aaaa");
   Bytes b = ToBytes("aaab");
   Bytes c = ToBytes("aaaaa");
-  EXPECT_NE(ComputeDigest(a, false), ComputeDigest(b, false));
-  EXPECT_NE(ComputeDigest(a, false), ComputeDigest(c, false));
-  EXPECT_EQ(ComputeDigest(a, false), ComputeDigest(a, false));
-  // Crypto mode matches SHA-256.
-  EXPECT_EQ(ComputeDigest(a, true), crypto::Sha256Digest(a));
+  EXPECT_EQ(ComputeDigest(a), crypto::Sha256Digest(a));
+  EXPECT_NE(ComputeDigest(a), ComputeDigest(b));
+  EXPECT_NE(ComputeDigest(a), ComputeDigest(c));
 }
 
 TEST(PaxosMessageTest, BallotPacking) {

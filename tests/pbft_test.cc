@@ -42,7 +42,11 @@ class PbftHarness {
     for (const NodeId& node : config_.nodes) {
       auto replica = std::make_unique<PbftReplica>(
           &network_, &keys_, config_, node,
-          [this, node](uint64_t seq, const Bytes& value) {
+          [this, node](uint64_t seq, const Bytes& value,
+                       const Digest& digest) {
+            // The callback's digest replaces a re-hash downstream, so it
+            // must be the value's own digest in every scenario below.
+            EXPECT_EQ(digest, ComputeDigest(value)) << "seq " << seq;
             executions_.push_back({node, seq, value});
           });
       replica->RegisterWithNetwork();

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/deployment.h"
+#include "core/record.h"
+#include "core/wire.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 
@@ -79,6 +81,92 @@ TEST(RecoveryTest, LongOutageRecoversViaSnapshotTransfer) {
     ASSERT_TRUE(recovered.count(pos) > 0) << "missing pos " << pos;
     EXPECT_EQ(recovered.at(pos).payload, record.payload);
   }
+}
+
+TEST(RecoveryTest, LogSyncExtendsTheChainBuiltByExecution) {
+  // The straggler executed the first entries normally, so its digest chain
+  // was built from the digests the PBFT layer handed to execution. Log sync
+  // continues that chain, and it must still reach the certified checkpoint
+  // digest.
+  RecoveryHarness harness(/*checkpoint_interval=*/4);
+  net::NodeId down{0, 3};
+  harness.CommitMany(6);
+  harness.simulator_.RunFor(Seconds(1));
+  ASSERT_EQ(harness.deployment_->node(0, 3)->log_size(), 6u);
+  harness.deployment_->network()->Crash(down);
+  harness.CommitMany(20);
+  harness.simulator_.RunFor(Seconds(1));
+  ASSERT_GE(
+      harness.deployment_->node(0, 0)->replica()->last_stable_checkpoint(),
+      20u);
+
+  harness.deployment_->network()->Recover(down);
+  harness.deployment_->node(0, 3)->Recover();
+  ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+      [&] { return harness.deployment_->node(0, 3)->log_size() == 26; },
+      Seconds(60)));
+  const auto& healthy = harness.deployment_->node(0, 0)->log();
+  const auto& recovered = harness.deployment_->node(0, 3)->log();
+  for (const auto& [pos, record] : healthy) {
+    ASSERT_TRUE(recovered.count(pos) > 0) << "missing pos " << pos;
+    EXPECT_EQ(recovered.at(pos).Encode(), record.Encode()) << "pos " << pos;
+  }
+}
+
+// Hands every message on to the real node, except that the first log-sync
+// reply it sees arrives with one bit of its committed value flipped: one
+// lying peer's copy of one entry.
+class TamperFirstLogSyncReply : public net::Host {
+ public:
+  explicit TamperFirstLogSyncReply(net::Host* node) : node_(node) {}
+
+  void HandleMessage(const net::Message& msg) override {
+    if (msg.type != kLogSyncReply || tampered_) {
+      node_->HandleMessage(msg);
+      return;
+    }
+    LogSyncReplyMsg reply;
+    ASSERT_TRUE(LogSyncReplyMsg::Decode(msg.body(), &reply).ok());
+    ASSERT_FALSE(reply.value.empty());
+    reply.value.back() ^= 0x01;
+    net::Message forged = msg;
+    forged.set_body(reply.Encode());
+    tampered_ = true;
+    node_->HandleMessage(forged);
+  }
+
+  bool tampered() const { return tampered_; }
+
+ private:
+  net::Host* node_;
+  bool tampered_ = false;
+};
+
+TEST(RecoveryTest, TamperedLogSyncReplyFailsTheChainCheck) {
+  // Synced values are the one input a node applies without a PBFT
+  // certificate per value: only the digest chain against the certified
+  // checkpoint vouches for them. A tampered copy must fail that check and
+  // be re-fetched, never applied.
+  RecoveryHarness harness(/*checkpoint_interval=*/4);
+  net::NodeId down{0, 3};
+  harness.deployment_->network()->Crash(down);
+  harness.CommitMany(20);
+  harness.simulator_.RunFor(Seconds(1));
+
+  BlockplaneNode* node = harness.deployment_->node(0, 3);
+  TamperFirstLogSyncReply liar(node);
+  harness.deployment_->network()->Recover(down);
+  harness.deployment_->network()->Register(down, &liar);
+  node->Recover();
+  ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+      [&] { return node->log_size() == 20; }, Seconds(60)));
+  EXPECT_TRUE(liar.tampered());
+  const auto& healthy = harness.deployment_->node(0, 0)->log();
+  for (const auto& [pos, record] : healthy) {
+    ASSERT_TRUE(node->log().count(pos) > 0) << "missing pos " << pos;
+    EXPECT_EQ(node->log().at(pos).Encode(), record.Encode()) << "pos " << pos;
+  }
+  harness.deployment_->network()->Register(down, node);
 }
 
 TEST(RecoveryTest, RecoveredNodeParticipatesAgain) {
