@@ -65,6 +65,7 @@ MetricsRegistry::MetricsRegistry() {
             {"bytes_copied_saved", s.bytes_copied_saved},
             {"hmac_precomputed_ops", s.hmac_precomputed_ops},
             {"verify_cache_evictions", s.verify_cache_evictions},
+            {"digests_elided", s.digests_elided},
         };
       },
       []() { hotpath_stats().Reset(); });

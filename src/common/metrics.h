@@ -78,6 +78,11 @@ struct HotPathStats {
   int64_t hmac_precomputed_ops = 0;
   /// Entries evicted from bounded verify-once caches.
   int64_t verify_cache_evictions = 0;
+  /// Record hashes skipped because a digest was reused or content was
+  /// compared instead: read replies matched field by field, mirror-record
+  /// payload digests reused from the node's memo, and geo-source
+  /// attestations signed over the committed value's PBFT digest.
+  int64_t digests_elided = 0;
 
   void Reset() { *this = HotPathStats{}; }
 };

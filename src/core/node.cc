@@ -82,9 +82,13 @@ BlockplaneNode::BlockplaneNode(net::Network* network, crypto::KeyStore* keys,
         OnExecute(seq, value, digest);
       });
   replica_->SetVerifier(
-      [this](const Bytes& value) { return VerifyValue(value); });
+      [this](const Bytes& value, const crypto::Digest* digest) {
+        return VerifyValue(value, digest);
+      });
   replica_->SetAdmission(
-      [this](const Bytes& value) { return AdmitValue(value); },
+      [this](const Bytes& value, const crypto::Digest* digest) {
+        return AdmitValue(value, digest);
+      },
       [this]() { ResetAdmission(); });
   replica_->SetSnapshotCallback([this](const pbft::SnapshotMsg& snapshot) {
     OnSnapshotCertificate(snapshot);
@@ -267,14 +271,15 @@ uint64_t BlockplaneNode::daemon_acked(net::SiteId dest) const {
 
 // --- PBFT hooks ----------------------------------------------------------------
 
-bool BlockplaneNode::VerifyValue(const Bytes& value) {
+bool BlockplaneNode::VerifyValue(const Bytes& value,
+                                 const crypto::Digest* value_digest) {
   LogRecord record;
   if (!LogRecord::Decode(value, &record).ok()) return false;
 
   if (is_mirror()) {
     // A mirror group only ever stores mirrored entries of its origin.
     if (record.type != RecordType::kMirrored) return false;
-    return VerifyMirrored(record);
+    return VerifyMirrored(record, value_digest);
   }
   switch (record.type) {
     case RecordType::kMirrored:
@@ -294,7 +299,8 @@ bool BlockplaneNode::VerifyValue(const Bytes& value) {
   return true;
 }
 
-bool BlockplaneNode::AdmitValue(const Bytes& value) {
+bool BlockplaneNode::AdmitValue(const Bytes& value,
+                                const crypto::Digest* value_digest) {
   // Floor the projection at applied state: values can commit and execute
   // through paths the projection never saw (catch-up entries, terms under
   // other leaders), so the projection must never lag reality.
@@ -311,7 +317,7 @@ bool BlockplaneNode::AdmitValue(const Bytes& value) {
   if (is_mirror()) {
     if (record.type != RecordType::kMirrored) return false;
     if (record.geo_pos != adm_mirror_high_ + 1) return false;
-    if (!VerifyMirroredProof(record)) return false;
+    if (!VerifyMirroredProof(record, value_digest)) return false;
     adm_mirror_high_ = record.geo_pos;
     return true;
   }
@@ -436,17 +442,37 @@ bool BlockplaneNode::VerifyReceivedAt(const LogRecord& record,
   return true;
 }
 
-bool BlockplaneNode::VerifyMirrored(const LogRecord& record) const {
+bool BlockplaneNode::VerifyMirrored(const LogRecord& record,
+                                    const crypto::Digest* value_digest) {
   if (record.geo_pos != mirror_high_pos_ + 1) return false;
-  return VerifyMirroredProof(record);
+  return VerifyMirroredProof(record, value_digest);
 }
 
-bool BlockplaneNode::VerifyMirroredProof(const LogRecord& record) const {
-  LogRecord inner;
-  if (!LogRecord::Decode(record.payload, &inner).ok()) return false;
-  if (!options_.sign_messages) return true;
+bool BlockplaneNode::VerifyMirroredProof(const LogRecord& record,
+                                         const crypto::Digest* value_digest) {
+  // The memo holds the payload digest of values whose payload already
+  // decoded and hashed here (only when signing); keyed by the checked
+  // digest of the whole value, a hit is for exactly these bytes.
+  auto memo = value_digest != nullptr
+                  ? mirror_payload_digests_.find(*value_digest)
+                  : mirror_payload_digests_.end();
+  crypto::Digest digest;
+  if (memo != mirror_payload_digests_.end()) {
+    digest = memo->second;
+    hotpath_stats().digests_elided++;
+  } else {
+    LogRecord inner;
+    if (!LogRecord::Decode(record.payload, &inner).ok()) return false;
+    if (!options_.sign_messages) return true;
+    digest = crypto::Sha256Digest(record.payload);
+    if (value_digest != nullptr) {
+      if (mirror_payload_digests_.size() >= kMirrorDigestMemoCap) {
+        mirror_payload_digests_.clear();
+      }
+      mirror_payload_digests_.emplace(*value_digest, digest);
+    }
+  }
 
-  crypto::Digest digest = crypto::Sha256Digest(record.payload);
   Bytes canonical = AttestCanonical(AttestPurpose::kGeoSource,
                                     record.src_site, record.geo_pos, digest);
   if (record.src_site == self_.site) {
@@ -503,11 +529,16 @@ void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
   switch (record.type) {
     case RecordType::kLogCommit:
     case RecordType::kCommunication: {
+      // Geo-source attestations sign `value_digest`. It is the digest the
+      // participant's geo round expects: the participant submits
+      // record.Encode() and hashes those same bytes.
+      BP_DCHECK(value_digest == crypto::Sha256Digest(record.Encode()));
       // Commit-time contiguity gate (DESIGN.md §10): the record stays in
       // the log and the digest chain regardless; only its api-stream side
       // effects may be deferred (quarantined) until the geo gap fills.
-      if (AdmitApiRecord(seq, record)) {
-        ApplyApiRecord(seq, record.type, record.dest_site, record.geo_pos);
+      if (AdmitApiRecord(seq, record, value_digest)) {
+        ApplyApiRecord(seq, record.type, record.dest_site, record.geo_pos,
+                       value_digest);
         ReleaseQuarantineContiguous();
       }
       break;
@@ -555,8 +586,17 @@ void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
     }
     case RecordType::kMirrored: {
       mirror_high_pos_ = record.geo_pos;
-      mirror_digest_by_pos_[record.geo_pos] =
-          crypto::Sha256Digest(record.payload);
+      // The payload digest this node computed when it verified the value,
+      // if it did; hashed here only on a memo miss (e.g. catch-up).
+      auto memo = mirror_payload_digests_.find(value_digest);
+      if (memo != mirror_payload_digests_.end()) {
+        mirror_digest_by_pos_[record.geo_pos] = memo->second;
+        mirror_payload_digests_.erase(memo);
+        hotpath_stats().digests_elided++;
+      } else {
+        mirror_digest_by_pos_[record.geo_pos] =
+            crypto::Sha256Digest(record.payload);
+      }
       // Geo-ack back to the acting participant (§V): our signature counts
       // toward its f_i+1-per-site proof.
       GeoAckMsg ack;
@@ -599,7 +639,8 @@ void BlockplaneNode::ApplyValue(uint64_t seq, const Bytes& value,
 
 // --- geo-contiguity quarantine (DESIGN.md §10) -----------------------------------
 
-bool BlockplaneNode::AdmitApiRecord(uint64_t seq, const LogRecord& record) {
+bool BlockplaneNode::AdmitApiRecord(uint64_t seq, const LogRecord& record,
+                                    const crypto::Digest& value_digest) {
   // The gate is only live when this node participates in a geo stream:
   // unit nodes of a participant running with fg > 0. Mirrors never apply
   // API records, and with fg == 0 geo positions are never stamped (seed
@@ -636,7 +677,7 @@ bool BlockplaneNode::AdmitApiRecord(uint64_t seq, const LogRecord& record) {
   // (typically after a view change evicts the censoring leader and an
   // honest one proposes the missing record).
   geo_quarantine_[record.geo_pos] =
-      QuarantinedApi{seq, record.type, record.dest_site};
+      QuarantinedApi{seq, record.type, record.dest_site, value_digest};
   rs.geo_quarantined++;
   GeoGapNoticeMsg notice;
   notice.missing_geo_pos = expected;
@@ -647,7 +688,8 @@ bool BlockplaneNode::AdmitApiRecord(uint64_t seq, const LogRecord& record) {
 }
 
 void BlockplaneNode::ApplyApiRecord(uint64_t seq, RecordType type,
-                                    net::SiteId dest_site, uint64_t geo_pos) {
+                                    net::SiteId dest_site, uint64_t geo_pos,
+                                    const crypto::Digest& value_digest) {
   if (!is_mirror() && options_.fg > 0 && geo_pos > 0) {
     // The api position IS the geo position: under quarantine-and-gap-fill
     // records are released in geo order, so this stays contiguous (and in
@@ -656,7 +698,7 @@ void BlockplaneNode::ApplyApiRecord(uint64_t seq, RecordType type,
   } else {
     ++api_record_count_;
   }
-  api_pos_by_log_pos_[seq] = api_record_count_;
+  api_pos_by_log_pos_[seq] = ApiPosition{api_record_count_, value_digest};
   if (type == RecordType::kCommunication) {
     auto& positions = comm_positions_[dest_site];
     // Quarantine release can surface log positions out of ascending order;
@@ -675,7 +717,7 @@ void BlockplaneNode::ReleaseQuarantineContiguous() {
     uint64_t geo_pos = it->first;
     geo_quarantine_.erase(it);
     robustness_stats().geo_quarantine_released++;
-    ApplyApiRecord(q.seq, q.type, q.dest_site, geo_pos);
+    ApplyApiRecord(q.seq, q.type, q.dest_site, geo_pos, q.value_digest);
   }
 }
 
@@ -896,16 +938,14 @@ void BlockplaneNode::OnAttestRequest(const net::Message& msg) {
             AttestPurpose::kGeoSource, self_.site, request.pos, it->second));
         break;
       }
-      auto it = log_.find(request.pos);
-      if (it == log_.end() || (it->second.type != RecordType::kLogCommit &&
-                               it->second.type != RecordType::kCommunication)) {
-        return;
-      }
+      // Only applied API records have an api position; the digest signed
+      // is the one PBFT committed for the value (see ApplyValue).
       auto api = api_pos_by_log_pos_.find(request.pos);
       if (api == api_pos_by_log_pos_.end()) return;
-      response.sig = signer_->Sign(AttestCanonical(
-          AttestPurpose::kGeoSource, origin_site_, api->second,
-          crypto::Sha256Digest(it->second.Encode())));
+      response.sig = signer_->Sign(
+          AttestCanonical(AttestPurpose::kGeoSource, origin_site_,
+                          api->second.api_pos, api->second.value_digest));
+      hotpath_stats().digests_elided++;
       break;
     }
     case AttestPurpose::kGeoAck:
@@ -980,7 +1020,7 @@ void BlockplaneNode::OnGeoReplicate(const net::Message& msg) {
     if (replicate.geo_pos <= mirror_high_pos_ + kMirrorBackfillCap &&
         (mirror_backfill_.size() < kMirrorBackfillCap ||
          mirror_backfill_.count(replicate.geo_pos) > 0) &&
-        VerifyMirroredProof(record)) {
+        VerifyMirroredProof(record, nullptr)) {
       mirror_backfill_[replicate.geo_pos] = std::move(record);
     }
     MaybeFetchMirrorGap(replicate.geo_pos);
@@ -1005,7 +1045,7 @@ void BlockplaneNode::OnMirrorEntry(const net::Message& msg) {
   }
   // Proof-check before buffering so a lying peer cannot crowd out real
   // entries; admission re-runs the full verification on submit.
-  if (!VerifyMirroredProof(record)) return;
+  if (!VerifyMirroredProof(record, nullptr)) return;
   mirror_backfill_[record.geo_pos] = std::move(record);
   DrainMirrorBackfill();
 }

@@ -147,16 +147,24 @@ class BlockplaneNode : public net::Host {
   /// why read-1 trusts a single node while quorum reads do not, §VI-A).
   void LieOnReads() { lie_on_reads_ = true; }
 
+  /// Bound on the mirror payload-digest memo (see mirror_payload_digests_).
+  static constexpr size_t kMirrorDigestMemoCap = 1024;
+  size_t mirror_digest_memo_size() const {
+    return mirror_payload_digests_.size();
+  }
+
  private:
   friend class CommDaemon;
 
   // -- PBFT hooks --
-  bool VerifyValue(const Bytes& value);
+  /// `value_digest` is the replica's checked digest of `value`, or null
+  /// (see PbftReplica::Verifier).
+  bool VerifyValue(const Bytes& value, const crypto::Digest* value_digest);
   /// Leader-side admission check for the pipelined proposal window
   /// (DESIGN.md §9): judges a candidate value against a *projected* state
   /// that assumes every earlier admitted value commits, and advances the
   /// projection on success. At window 1 this degenerates to VerifyValue.
-  bool AdmitValue(const Bytes& value);
+  bool AdmitValue(const Bytes& value, const crypto::Digest* value_digest);
   /// Re-bases the admission projection on applied state (called by the
   /// replica on view entry / checkpoint install before replaying the
   /// in-flight values through AdmitValue).
@@ -179,11 +187,14 @@ class BlockplaneNode : public net::Host {
   /// quarantine-and-gap-fill). Returns true when the record may enter the
   /// api stream now; false when it was quarantined (side effects deferred
   /// until the gap fills) or dropped (stale duplicate / absurd position).
-  bool AdmitApiRecord(uint64_t seq, const LogRecord& record);
+  bool AdmitApiRecord(uint64_t seq, const LogRecord& record,
+                      const crypto::Digest& value_digest);
   /// Api-stream side effects of an applied API record: api position
   /// assignment, communication-stream bookkeeping, daemon notification.
+  /// `value_digest` is the committed value's digest, kept for geo-source
+  /// attestations.
   void ApplyApiRecord(uint64_t seq, RecordType type, net::SiteId dest_site,
-                      uint64_t geo_pos);
+                      uint64_t geo_pos, const crypto::Digest& value_digest);
   /// Releases quarantined records whose geo positions became contiguous.
   void ReleaseQuarantineContiguous();
 
@@ -193,10 +204,14 @@ class BlockplaneNode : public net::Host {
   /// projection can run the same checks against projected state.
   bool VerifyReceivedAt(const LogRecord& record, uint64_t last) const;
   /// Verification for mirror-log entries (§V).
-  bool VerifyMirrored(const LogRecord& record) const;
-  /// The stateless (proof-only) part of VerifyMirrored, shared with the
-  /// admission projection.
-  bool VerifyMirroredProof(const LogRecord& record) const;
+  bool VerifyMirrored(const LogRecord& record,
+                      const crypto::Digest* value_digest);
+  /// The proof-only part of VerifyMirrored, shared with the admission
+  /// projection and the backfill buffer. With a `value_digest` it reads and
+  /// fills the payload-digest memo; the signatures or cert are checked on
+  /// every call.
+  bool VerifyMirroredProof(const LogRecord& record,
+                           const crypto::Digest* value_digest);
   /// Position of the last communication record to `dest` before `pos`.
   uint64_t PrevCommPos(net::SiteId dest, uint64_t pos) const;
 
@@ -263,7 +278,14 @@ class BlockplaneNode : public net::Host {
   /// Count of API records (log-commit + communication) executed so far —
   /// the geo-replication stream position of the latest API record.
   uint64_t api_record_count_ = 0;
-  std::unordered_map<uint64_t, uint64_t> api_pos_by_log_pos_;
+  /// Per applied API record, by log position: its api (geo) position and
+  /// the committed value's digest, which geo-source attestations sign
+  /// (it equals Sha256 of the participant's encoding of the record).
+  struct ApiPosition {
+    uint64_t api_pos = 0;
+    crypto::Digest value_digest{};
+  };
+  std::unordered_map<uint64_t, ApiPosition> api_pos_by_log_pos_;
 
   /// Quarantined API records (geo_pos -> where/what), waiting for the geo
   /// stream to become contiguous again (DESIGN.md §10). Only populated on
@@ -273,6 +295,7 @@ class BlockplaneNode : public net::Host {
     uint64_t seq = 0;
     RecordType type = RecordType::kLogCommit;
     net::SiteId dest_site = -1;
+    crypto::Digest value_digest{};
   };
   std::map<uint64_t, QuarantinedApi> geo_quarantine_;
   /// Maximum distance past the contiguous head a quarantined geo position
@@ -293,6 +316,13 @@ class BlockplaneNode : public net::Host {
   /// mirrored entry (for re-acks and attestations).
   uint64_t mirror_high_pos_ = 0;
   std::map<uint64_t, crypto::Digest> mirror_digest_by_pos_;
+  /// Mirror role: value digest -> payload digest of each kMirrored value
+  /// whose payload VerifyMirroredProof decoded and hashed, so the later
+  /// checks and the apply of the same value hash nothing (DESIGN.md §7.5).
+  /// A pure function of the value bytes, so an entry can never be stale;
+  /// apply consumes its entry, and the map is cleared when it reaches
+  /// kMirrorDigestMemoCap (values verified but never applied).
+  std::map<crypto::Digest, crypto::Digest> mirror_payload_digests_;
 
   /// Mirror gap backfill (§V, DESIGN.md §10). After an outage the geo
   /// stream has moved on; replicates for positions ahead of

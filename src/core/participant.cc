@@ -868,28 +868,35 @@ void Participant::OnReadReply(const net::Message& msg) {
   PendingRead& pending = it->second;
 
   LogRecord record;
-  crypto::Digest digest{};
   if (reply.found) {
     if (!LogRecord::Decode(reply.record, &record).ok()) return;
-    digest = record.ContentDigest();
-    pending.values[digest] = record;
+    // Replies are compared, never hashed (DESIGN.md §7.5).
+    hotpath_stats().digests_elided++;
   }
-  auto& votes = pending.votes[digest];
-  votes.insert(msg.src);
-
-  int needed = pending.strategy == ReadStrategy::kReadOne
-                   ? 1
-                   : 2 * options_.fi + 1;
-  if (static_cast<int>(votes.size()) < needed) return;
+  if (pending.strategy != ReadStrategy::kReadOne) {
+    // Quorum read: 2f_i+1 nodes must return the same content. Each reply
+    // is compared in full against the answers so far.
+    if (!pending.replied.insert(msg.src).second) return;
+    auto answer = std::find_if(
+        pending.answers.begin(), pending.answers.end(),
+        [&](const ReadAnswer& a) {
+          return a.found == reply.found &&
+                 (!reply.found || SameContent(a.record, record));
+        });
+    if (answer == pending.answers.end()) {
+      answer = pending.answers.insert(
+          answer, ReadAnswer{reply.found, std::move(record), 0});
+    }
+    if (++answer->votes < 2 * options_.fi + 1) return;
+    record = std::move(answer->record);
+  }
 
   ReadCallback done = std::move(pending.done);
-  bool found = reply.found;
-  LogRecord result = found ? pending.values[digest] : LogRecord{};
   sim_->Cancel(pending.retry_timer);
   reads_.erase(it);
   if (done) {
-    if (found) {
-      done(Status::OK(), std::move(result));
+    if (reply.found) {
+      done(Status::OK(), std::move(record));
     } else {
       done(Status::NotFound("no committed entry at position"), LogRecord{});
     }

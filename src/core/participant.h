@@ -257,12 +257,22 @@ class Participant : public net::Host {
   ReceiveHandler receive_handler_;
 
   // --- read machinery ------------------------------------------------------------
+  /// One distinct answer to a quorum read: "not found", or a record whose
+  /// content (SameContent) the voting nodes agree on. The record is the
+  /// first matching reply's, proofs included.
+  struct ReadAnswer {
+    bool found = false;
+    LogRecord record;
+    int votes = 0;
+  };
   struct PendingRead {
     uint64_t pos = 0;
     ReadStrategy strategy;
     ReadCallback done;
-    std::map<crypto::Digest, std::set<net::NodeId>> votes;
-    std::map<crypto::Digest, LogRecord> values;
+    /// Quorum reads: each unit node's first reply votes once, so there are
+    /// at most n distinct answers.
+    std::set<net::NodeId> replied;
+    std::vector<ReadAnswer> answers;
     /// read-1 fallback: if the closest node is down, widen to the unit.
     sim::EventId retry_timer = sim::kInvalidEventId;
   };

@@ -87,6 +87,16 @@ crypto::Digest LogRecord::ContentDigest() const {
   return crypto::Sha256Digest(enc.buffer());
 }
 
+bool SameContent(const LogRecord& a, const LogRecord& b) {
+  // The fields ContentDigest encodes, payload last as the costliest;
+  // record_roundtrip_test keeps the two in lockstep.
+  return a.type == b.type && a.routine_id == b.routine_id &&
+         a.dest_site == b.dest_site && a.src_site == b.src_site &&
+         a.src_log_pos == b.src_log_pos &&
+         a.prev_src_log_pos == b.prev_src_log_pos && a.geo_pos == b.geo_pos &&
+         a.payload == b.payload;
+}
+
 Bytes AttestCanonical(AttestPurpose purpose, net::SiteId site, uint64_t pos,
                       const crypto::Digest& digest) {
   Encoder enc;

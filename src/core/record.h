@@ -100,6 +100,12 @@ struct LogRecord {
   crypto::Digest ContentDigest() const;
 };
 
+/// True when `a` and `b` agree on every field ContentDigest covers (proofs
+/// and certs excluded), i.e. exactly when their content digests are equal —
+/// without encoding or hashing either record. Quorum reads match replies
+/// with it.
+bool SameContent(const LogRecord& a, const LogRecord& b);
+
 /// Purposes bound into attestation signatures so one attestation cannot be
 /// replayed as another.
 enum class AttestPurpose : uint8_t {

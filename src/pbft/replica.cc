@@ -181,11 +181,11 @@ bool PbftReplica::VerifySigPure(const Bytes& canonical,
   return keys_->VerifyDetached(canonical, sig);
 }
 
-bool PbftReplica::RunVerifier(const Bytes& value) const {
+bool PbftReplica::RunVerifier(const Bytes& value, const Digest* digest) const {
   if (byzantine_ == ByzantineMode::kRejectVerification) return false;
   if (!verifier_) return true;
   if (value.empty()) return true;  // no-op gap filler
-  return verifier_(value);
+  return verifier_(value, digest);
 }
 
 // --- client requests ---------------------------------------------------------
@@ -231,7 +231,7 @@ void PbftReplica::OnRequest(const net::Message& msg) {
   // A request our own verification routine rejects will (rightly) be
   // censored by an honest leader; forwarding or watching it would only
   // provoke pointless view changes.
-  if (!RunVerifier(request.value)) return;
+  if (!RunVerifier(request.value, nullptr)) return;
 
   // Backup: forward to the current leader and watch for progress. If the
   // leader censors the request, the watchdog forces a view change.
@@ -278,14 +278,14 @@ uint64_t PbftReplica::HighWatermark() const {
   return last_stable_ + span;
 }
 
-bool PbftReplica::AdmitValue(const Bytes& value) {
+bool PbftReplica::AdmitValue(const Bytes& value, const Digest* digest) {
   if (byzantine_ == ByzantineMode::kRejectVerification) return false;
   // A geo-reordering byzantine leader does not run the honest admission
   // projection (which would reject its own out-of-contiguity proposals).
   if (byzantine_ == ByzantineMode::kReorderGeo) return true;
   if (value.empty()) return true;  // no-op gap filler
-  if (admission_) return admission_(value);
-  if (verifier_) return verifier_(value);
+  if (admission_) return admission_(value, digest);
+  if (verifier_) return verifier_(value, digest);
   return true;
 }
 
@@ -304,6 +304,7 @@ void PbftReplica::RebuildAdmissionProjection(
   }
   for (uint64_t seq = last_executed_ + 1; seq <= max_seq; ++seq) {
     const Bytes* value = nullptr;
+    const Digest* digest = nullptr;
     auto ei = extra.find(seq);
     if (ei != extra.end()) {
       value = ei->second;
@@ -311,9 +312,10 @@ void PbftReplica::RebuildAdmissionProjection(
       auto ii = instances_.find(seq);
       if (ii != instances_.end() && ii->second.committed) {
         value = &ii->second.value;
+        digest = &ii->second.digest;
       }
     }
-    if (value != nullptr && !value->empty()) admission_(*value);
+    if (value != nullptr && !value->empty()) admission_(*value, digest);
   }
 }
 
@@ -344,20 +346,22 @@ void PbftReplica::MaybeProposeNext() {
     // (e.g. a receive that another node already committed); proposing them
     // would stall the group into a needless view change. With window > 1
     // the check runs against the projected state (DESIGN.md §9).
-    if (!AdmitValue(request.value)) {
+    // Hashed once here; admission and the pre-prepare share the digest.
+    const Digest digest = ComputeDigest(request.value);
+    if (!AdmitValue(request.value, &digest)) {
       pipeline_stats().pbft_admission_rejects++;
       continue;
     }
     Propose(request.client_token, request.req_id, std::move(request.value),
-            pending.trace_id, pending.enqueued);
+            digest, pending.trace_id, pending.enqueued);
   }
   // Queue drained: whatever stall was open is over (the window has room).
   window_stalled_ = false;
 }
 
 void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
-                          Bytes value, uint64_t trace_id,
-                          sim::SimTime enqueued) {
+                          Bytes value, const Digest& digest,
+                          uint64_t trace_id, sim::SimTime enqueued) {
   uint64_t seq = next_seq_++;
   PipelineStats& ps = pipeline_stats();
   ps.pbft_proposals++;
@@ -375,7 +379,7 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
   PrePrepareMsg pp;
   pp.view = view_;
   pp.seq = seq;
-  pp.digest = ComputeDigest(value);
+  pp.digest = digest;
   pp.client_token = client_token;
   pp.req_id = req_id;
   pp.value = std::move(value);
@@ -552,11 +556,12 @@ void PbftReplica::MaybePrepared(uint64_t seq) {
   instance.ts_prepared = sim_->Now();
 
   // Blockplane §IV-B: run the verification routine before the commit vote.
-  if (!RunVerifier(instance.value)) {
+  if (!RunVerifier(instance.value, &instance.digest)) {
     // The routine may merely be ahead of our state (e.g. it checks a chain
     // pointer whose predecessor has not executed here yet); retry after
     // each execution instead of voting now.
     instance.verify_pending = true;
+    verify_pending_.insert(seq);
     BP_LOG(kInfo) << self_.ToString() << " verification rejected seq " << seq;
     return;  // withhold the commit-phase vote for now
   }
@@ -568,6 +573,7 @@ void PbftReplica::SendCommitVote(uint64_t seq) {
   if (it == instances_.end() || it->second.sent_commit) return;
   Instance& instance = it->second;
   instance.verify_pending = false;
+  verify_pending_.erase(seq);
   VoteMsg commit;
   commit.type = kCommit;
   commit.view = instance.view;
@@ -585,12 +591,20 @@ void PbftReplica::SendCommitVote(uint64_t seq) {
 }
 
 void PbftReplica::RetryPendingVerifications() {
+  if (verify_pending_.empty()) return;
   std::vector<uint64_t> ready;
-  for (auto& [seq, instance] : instances_) {
-    if (instance.verify_pending && instance.prepared &&
-        !instance.sent_commit && RunVerifier(instance.value)) {
-      ready.push_back(seq);
+  for (auto it = verify_pending_.begin(); it != verify_pending_.end();) {
+    auto inst = instances_.find(*it);
+    if (inst == instances_.end() || !inst->second.verify_pending) {
+      it = verify_pending_.erase(it);  // dropped or re-created since
+      continue;
     }
+    Instance& instance = inst->second;
+    if (instance.prepared && !instance.sent_commit &&
+        RunVerifier(instance.value, &instance.digest)) {
+      ready.push_back(*it);
+    }
+    ++it;
   }
   for (uint64_t seq : ready) SendCommitVote(seq);
 }

@@ -61,8 +61,11 @@ class PbftReplica : public net::Host {
   using ExecuteCallback = std::function<void(
       uint64_t seq, const Bytes& value, const Digest& digest)>;
   /// The Blockplane verification-routine hook. Returning false withholds
-  /// this replica's commit vote for the value.
-  using Verifier = std::function<bool(const Bytes& value)>;
+  /// this replica's commit vote for the value. `digest` is the value's
+  /// payload digest, already checked against it, or null where the value
+  /// has no instance yet (a request a backup forwards).
+  using Verifier =
+      std::function<bool(const Bytes& value, const Digest* digest)>;
 
   PbftReplica(net::Network* network, crypto::KeyStore* keys,
               PbftConfig config, net::NodeId self, ExecuteCallback execute);
@@ -89,8 +92,10 @@ class PbftReplica : public net::Host {
   /// install, then replays all decided-or-carried-but-unexecuted values
   /// through `admit` in sequence order to rebuild the projection. When no
   /// admission hook is set the plain verifier is used (seed behaviour,
-  /// sufficient at window 1).
-  using AdmissionCheck = std::function<bool(const Bytes& value)>;
+  /// sufficient at window 1). `digest` is as for Verifier: null for
+  /// carried-over values replayed without an instance.
+  using AdmissionCheck =
+      std::function<bool(const Bytes& value, const Digest* digest)>;
   void SetAdmission(AdmissionCheck admit, std::function<void()> reset) {
     admission_ = std::move(admit);
     admission_reset_ = std::move(reset);
@@ -157,6 +162,7 @@ class PbftReplica : public net::Host {
     bool committed = false;
     /// Prepared but the verification routine rejected; re-tried as local
     /// state advances (the routine may depend on earlier executions).
+    /// Indexed by PbftReplica::verify_pending_.
     bool verify_pending = false;
     sim::EventId progress_timer = sim::kInvalidEventId;
     /// Causal trace of the request driving this instance (0 = untraced).
@@ -210,8 +216,10 @@ class PbftReplica : public net::Host {
   /// The proposal window in force right now: the adaptive provider when
   /// installed (clamped to >= 1), else the static config window.
   uint64_t EffectiveWindow() const;
+  /// `digest` is ComputeDigest(value), computed once before admission.
   void Propose(uint64_t client_token, uint64_t req_id, Bytes value,
-               uint64_t trace_id, sim::SimTime enqueued);
+               const Digest& digest, uint64_t trace_id,
+               sim::SimTime enqueued);
   /// Highest sequence number a leader may assign: the low watermark
   /// (last stable checkpoint) plus a span that keeps the un-truncated log
   /// bounded even when checkpoints lag the window.
@@ -219,7 +227,7 @@ class PbftReplica : public net::Host {
   /// Propose-time admission: kRejectVerification parity, empty-value
   /// passthrough, then the projected-state admission hook (falling back to
   /// the final-mode verifier when no hook is installed).
-  bool AdmitValue(const Bytes& value);
+  bool AdmitValue(const Bytes& value, const Digest* digest);
   /// Re-bases the admission projection on applied state, then replays every
   /// decided-or-carried-but-unexecuted value (`extra`, keyed by seq, wins
   /// over committed instances) through the admission hook in seq order.
@@ -271,7 +279,7 @@ class PbftReplica : public net::Host {
   const Bytes& CanonicalBodyFor(const VoteMsg& vote);
   Signature Sign(const Bytes& canonical) const;
   bool VerifySig(const Bytes& canonical, const Signature& sig) const;
-  bool RunVerifier(const Bytes& value) const;
+  bool RunVerifier(const Bytes& value, const Digest* digest) const;
 
   net::Network* network_;
   sim::Simulator* sim_;
@@ -316,6 +324,11 @@ class PbftReplica : public net::Host {
   std::set<std::pair<uint64_t, uint64_t>> assigned_requests_;
 
   std::map<uint64_t, Instance> instances_;  // by seq
+  /// Seqs whose instance was marked verify_pending, in ascending order, so
+  /// RetryPendingVerifications need not walk every instance. May hold seqs
+  /// whose instance has since been dropped or re-created; those are pruned
+  /// on the next retry.
+  std::set<uint64_t> verify_pending_;
   uint64_t last_executed_ = 0;
   uint64_t last_stable_ = 0;
   std::map<uint64_t, Bytes> executed_log_;

@@ -396,6 +396,217 @@ TEST(ByzantineEndToEndTest, QuorumReadSurvivesALyingReplica) {
   EXPECT_EQ(ToString(result.payload), "the truth");
 }
 
+// Delivers a read reply to `participant` as if unit node `index` of its site
+// had sent it; a null `record` answers "not found".
+void InjectReadReply(Participant* participant, int index, uint64_t read_id,
+                     const LogRecord* record) {
+  ReadReplyMsg reply;
+  reply.read_id = read_id;
+  reply.found = record != nullptr;
+  if (record != nullptr) reply.record = record->Encode();
+  net::Message msg;
+  msg.src = net::NodeId{participant->site(), index};
+  msg.dst = ParticipantNodeId(participant->site());
+  msg.type = kReadReply;
+  msg.set_body(reply.Encode());
+  participant->HandleMessage(msg);
+}
+
+LogRecord ReadTarget() {
+  LogRecord record;
+  record.type = RecordType::kReceived;
+  record.payload = ToBytes("entry under read");
+  record.dest_site = kCalifornia;
+  record.src_site = kOregon;
+  record.src_log_pos = 7;
+  record.prev_src_log_pos = 5;
+  record.geo_pos = 3;
+  return record;
+}
+
+TEST(ByzantineEndToEndTest, QuorumReadMatchesContentNotProofs) {
+  // Honest nodes can hold one entry with different proof vectors (which
+  // f_i+1 source nodes signed is a race), so a quorum read matches content
+  // only, and hands back the first matching reply's record as received.
+  sim::Simulator simulator(43);
+  Deployment deployment(&simulator, Topology::Aws4(), {});
+  Participant* participant = deployment.participant(kCalifornia);
+  bool done = false;
+  LogRecord result;
+  participant->Read(1, ReadStrategy::kReadQuorum,
+                    [&](Status s, LogRecord record) {
+                      EXPECT_TRUE(s.ok());
+                      result = std::move(record);
+                      done = true;
+                    });
+  // The replies are injected before any real one can arrive; a fresh
+  // participant's first read has id 1.
+  LogRecord first;
+  for (int i = 0; i < 3; ++i) {
+    LogRecord reply = ReadTarget();
+    crypto::Signature sig;
+    sig.signer = net::NodeId{kOregon, i};
+    sig.mac.fill(static_cast<uint8_t>(i));
+    reply.proof.push_back(sig);
+    if (i == 0) first = reply;
+    EXPECT_FALSE(done) << "completed after " << i << " replies";
+    InjectReadReply(participant, i, 1, &reply);
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(result.Encode(), first.Encode());
+}
+
+TEST(ByzantineEndToEndTest, QuorumReadNeverCountsAReplyThatDiffersInOneField) {
+  // A liar's reply that differs from the honest entry in one payload byte
+  // or one position field is a different answer: it never counts toward
+  // the honest one, so 2f_i+1 = 3 honest replies are still needed.
+  sim::Simulator simulator(44);
+  Deployment deployment(&simulator, Topology::Aws4(), {});
+  Participant* participant = deployment.participant(kCalifornia);
+  const std::vector<std::pair<const char*, void (*)(LogRecord*)>> lies = {
+      {"payload byte", [](LogRecord* r) { r->payload[3] ^= 0x01; }},
+      {"src_log_pos", [](LogRecord* r) { r->src_log_pos += 1; }},
+      {"prev_src_log_pos", [](LogRecord* r) { r->prev_src_log_pos += 1; }},
+      {"geo_pos", [](LogRecord* r) { r->geo_pos += 1; }},
+  };
+  uint64_t read_id = 0;
+  for (const auto& [what, lie] : lies) {
+    bool done = false;
+    LogRecord result;
+    participant->Read(1, ReadStrategy::kReadQuorum,
+                      [&](Status s, LogRecord record) {
+                        EXPECT_TRUE(s.ok());
+                        result = std::move(record);
+                        done = true;
+                      });
+    ++read_id;
+    const LogRecord honest = ReadTarget();
+    LogRecord forged = honest;
+    lie(&forged);
+    InjectReadReply(participant, 0, read_id, &honest);
+    InjectReadReply(participant, 1, read_id, &forged);
+    InjectReadReply(participant, 2, read_id, &honest);
+    EXPECT_FALSE(done) << what << ": the lie counted toward the truth";
+    InjectReadReply(participant, 3, read_id, &honest);
+    ASSERT_TRUE(done) << what;
+    EXPECT_EQ(result.Encode(), honest.Encode()) << what;
+  }
+}
+
+TEST(ByzantineEndToEndTest, MirrorDigestMemoCannotVouchForATamperedPayload) {
+  // A mirror node remembers the payload digest of each value it verified,
+  // keyed by the value's own digest. A byzantine mirror leader that
+  // proposes the honest value V at geo position 1 and then V' — same
+  // position, same proof, one payload byte changed — must not get V' past
+  // the backups on V's verdict.
+  sim::Simulator simulator(46);
+  BlockplaneOptions options;
+  options.fg = 1;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  const net::SiteId host = deployment.mirror_sites_of(kCalifornia).at(0);
+  auto mirror = [&](int i) {
+    return deployment.mirror_node(host, kCalifornia, i);
+  };
+  const net::NodeId leader = mirror(0)->replica()->leader();
+  ASSERT_EQ(leader, mirror(0)->self());
+
+  // V, attested by f_i+1 = 2 California unit nodes as the origin's record
+  // at geo position 1.
+  LogRecord inner;
+  inner.payload = ToBytes("mirrored entry");
+  inner.geo_pos = 1;
+  LogRecord honest;
+  honest.type = RecordType::kMirrored;
+  honest.payload = inner.Encode();
+  honest.src_site = kCalifornia;
+  honest.geo_pos = 1;
+  Bytes canonical =
+      AttestCanonical(AttestPurpose::kGeoSource, kCalifornia, 1,
+                      crypto::Sha256Digest(honest.payload));
+  for (int i = 0; i < 2; ++i) {
+    honest.proof.push_back(deployment.keys()
+                               ->RegisterNode(net::NodeId{kCalifornia, i})
+                               ->Sign(canonical));
+  }
+  LogRecord tampered = honest;
+  inner.payload[0] ^= 0x01;
+  tampered.payload = inner.Encode();
+
+  auto leader_key = deployment.keys()->RegisterNode(leader);
+  auto propose = [&](uint64_t seq, const LogRecord& record,
+                     std::vector<int> backups) {
+    pbft::PrePrepareMsg pp;
+    pp.view = 0;
+    pp.seq = seq;
+    pp.value = record.Encode();
+    pp.digest = pbft::ComputeDigest(pp.value);
+    pp.client_token = pbft::ClientToken(leader);
+    pp.req_id = seq;
+    pp.sig = leader_key->Sign(pp.CanonicalHeader());
+    for (int i : backups) {
+      net::Message msg;
+      msg.src = leader;
+      msg.dst = mirror(i)->self();
+      msg.type = pbft::kPrePrepare;
+      msg.set_body(pp.Encode());
+      deployment.network()->Send(msg);
+    }
+  };
+
+  // Backups 1 and 2 prepare and verify V (2 commit votes: not a quorum).
+  propose(1, honest, {1, 2});
+  simulator.RunFor(sim::Milliseconds(5));
+  for (int i : {1, 2}) {
+    EXPECT_EQ(mirror(i)->mirror_digest_memo_size(), 1u) << "backup " << i;
+    EXPECT_EQ(mirror(i)->replica()->last_executed(), 0u) << "backup " << i;
+  }
+  // V' prepares at every backup while position 1 is still open.
+  propose(2, tampered, {1, 2, 3});
+  simulator.RunFor(sim::Milliseconds(5));
+  // Backup 3 completes V's commit quorum; V executes, V' must not.
+  propose(1, honest, {3});
+  simulator.RunFor(sim::Milliseconds(10));
+  for (int i : {1, 2, 3}) {
+    BlockplaneNode* node = mirror(i);
+    EXPECT_EQ(node->replica()->last_executed(), 1u) << "backup " << i;
+    ASSERT_EQ(node->log().size(), 1u) << "backup " << i;
+    EXPECT_EQ(node->log().at(1).payload, honest.payload) << "backup " << i;
+  }
+}
+
+TEST(ByzantineEndToEndTest, MirrorDigestMemoStaysWithinItsCap) {
+  // Values that verify their payload but fail their proof are never
+  // applied, so their memo entries are never consumed: the memo must stay
+  // bounded however many of them a byzantine acting site submits.
+  sim::Simulator simulator(47);
+  BlockplaneOptions options;
+  options.fg = 1;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
+  const net::SiteId host = deployment.mirror_sites_of(kCalifornia).at(0);
+  BlockplaneNode* leader = deployment.mirror_node(host, kCalifornia, 0);
+  ASSERT_EQ(leader->replica()->leader(), leader->self());
+  const size_t total = BlockplaneNode::kMirrorDigestMemoCap + 16;
+  const int64_t rejects_before = pipeline_stats().pbft_admission_rejects;
+  size_t peak = 0;
+  for (size_t i = 0; i < total; ++i) {
+    LogRecord inner;
+    inner.payload = ToBytes("unproven " + std::to_string(i));
+    inner.geo_pos = 1;
+    LogRecord record;
+    record.type = RecordType::kMirrored;
+    record.payload = inner.Encode();
+    record.src_site = kCalifornia;
+    record.geo_pos = 1;  // the next position, so admission reaches the proof
+    leader->SubmitLocalCommit(record);  // admitted synchronously: leader
+    peak = std::max(peak, leader->mirror_digest_memo_size());
+  }
+  EXPECT_EQ(pipeline_stats().pbft_admission_rejects - rejects_before,
+            static_cast<int64_t>(total));
+  EXPECT_EQ(peak, BlockplaneNode::kMirrorDigestMemoCap);
+  EXPECT_LE(leader->mirror_digest_memo_size(),
+            BlockplaneNode::kMirrorDigestMemoCap);
+}
+
 // Regression: the client used to count f+1 replies as "matching" when they
 // merely agreed on the sequence number. f byzantine replicas plus one
 // honest straggler could then complete a request whose outcome the honest

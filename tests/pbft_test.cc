@@ -25,10 +25,12 @@ using sim::Seconds;
 class PbftHarness {
  public:
   explicit PbftHarness(int f, uint64_t seed = 1,
-                       Topology topology = Topology::SingleSite())
+                       Topology topology = Topology::SingleSite(),
+                       uint64_t window = 1)
       : simulator_(seed),
         network_(&simulator_, std::move(topology)) {
     config_ = UnitConfig(/*site=*/0, f);
+    config_.window = window;
     if (network_.topology().num_sites() > 1) {
       // Spread replicas across sites for wide-area tests.
       config_.nodes.clear();
@@ -216,11 +218,48 @@ TEST(PbftTest, BogusVoterIsHarmless) {
   harness.ExpectAgreement({3});
 }
 
+TEST(PbftTest, RejectedVerificationIsRetriedAfterEachExecution) {
+  // A verification routine may be ahead of local state. With a window of 2
+  // the replicas prepare "second" before "first" has executed there, and
+  // their routine, which wants "first" executed, rejects it. The commit
+  // vote must follow once "first" executes, inside view 0: a view change
+  // re-proposing the value must not be what rescues it.
+  PbftHarness harness(1, /*seed=*/1, Topology::SingleSite(), /*window=*/2);
+  int rejections = 0;
+  for (auto& replica : harness.replicas_) {
+    const PbftReplica* self = replica.get();
+    replica->SetVerifier([self, &rejections](const Bytes& value,
+                                             const Digest*) {
+      if (ToString(value) != "second") return true;
+      for (const auto& [seq, executed] : self->executed_log()) {
+        if (ToString(executed) == "first") return true;
+      }
+      ++rejections;
+      return false;
+    });
+    // The leader admits both at once; only the prepared-time routine
+    // orders them.
+    replica->SetAdmission([](const Bytes&, const Digest*) { return true; },
+                          [] {});
+  }
+  harness.client_->Submit(ToBytes("first"), nullptr);
+  harness.client_->Submit(ToBytes("second"), nullptr);
+  ASSERT_TRUE(harness.simulator_.RunUntilCondition(
+      [&] { return harness.client_->completed() == 2; },
+      harness.config_.view_timeout - Milliseconds(10)));
+  EXPECT_GT(rejections, 0);
+  for (const auto& replica : harness.replicas_) {
+    EXPECT_EQ(replica->view(), 0u);
+  }
+  harness.ExpectAgreement();
+  EXPECT_EQ(harness.LogOf(0), (std::vector<std::string>{"first", "second"}));
+}
+
 TEST(PbftTest, VerificationRoutineBlocksInvalidValues) {
   PbftHarness harness(1);
   // The Blockplane hook: replicas refuse values containing "bad".
   for (auto& replica : harness.replicas_) {
-    replica->SetVerifier([](const Bytes& value) {
+    replica->SetVerifier([](const Bytes& value, const Digest*) {
       return ToString(value).find("bad") == std::string::npos;
     });
   }

@@ -123,6 +123,63 @@ TEST_P(RecordRoundTripTest, DigestSensitiveToEveryIdentityField) {
   EXPECT_EQ(mutated.ContentDigest(), original);
 }
 
+TEST_P(RecordRoundTripTest, SameContentMovesInLockstepWithContentDigest) {
+  // Quorum reads match replies with SameContent instead of hashing them,
+  // so it must turn false exactly when the content digests differ. A field
+  // added to one of the two and not the other fails here.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 0x5eed);
+  for (int i = 0; i < 50; ++i) {
+    const LogRecord base = RandomRecord(rng);
+    const crypto::Digest original = base.ContentDigest();
+    auto expect_lockstep = [&](const LogRecord& mutated, const char* what) {
+      bool digests_equal = mutated.ContentDigest() == original;
+      EXPECT_EQ(SameContent(base, mutated), digests_equal) << what;
+      EXPECT_EQ(SameContent(mutated, base), digests_equal) << what;
+    };
+    EXPECT_TRUE(SameContent(base, base));
+
+    // Every covered field, in turn: both must see the change.
+    const std::vector<std::pair<const char*, void (*)(LogRecord*)>> covered =
+        {{"type",
+          [](LogRecord* r) {
+            r->type = static_cast<RecordType>(
+                1 + static_cast<int>(r->type) % 4);
+          }},
+         {"routine_id", [](LogRecord* r) { r->routine_id += 1; }},
+         {"payload byte",
+          [](LogRecord* r) {
+            if (r->payload.empty()) r->payload.push_back(0);
+            r->payload[r->payload.size() / 2] ^= 0x01;
+          }},
+         {"payload length", [](LogRecord* r) { r->payload.push_back(0); }},
+         {"dest_site", [](LogRecord* r) { r->dest_site += 1; }},
+         {"src_site", [](LogRecord* r) { r->src_site += 1; }},
+         {"src_log_pos", [](LogRecord* r) { r->src_log_pos += 1; }},
+         {"prev_src_log_pos", [](LogRecord* r) { r->prev_src_log_pos += 1; }},
+         {"geo_pos", [](LogRecord* r) { r->geo_pos += 1; }}};
+    for (const auto& [what, mutate] : covered) {
+      LogRecord mutated = base;
+      mutate(&mutated);
+      EXPECT_NE(mutated.ContentDigest(), original) << what;
+      expect_lockstep(mutated, what);
+    }
+
+    // Authentication material is outside both.
+    const std::vector<std::pair<const char*, void (*)(LogRecord*)>> excluded =
+        {{"proof", [](LogRecord* r) { r->proof.emplace_back(); }},
+         {"geo_proof", [](LogRecord* r) { r->geo_proof.emplace_back(); }},
+         {"proof_certs",
+          [](LogRecord* r) { r->proof_certs.emplace_back(); }},
+         {"geo_certs", [](LogRecord* r) { r->geo_certs.emplace_back(); }}};
+    for (const auto& [what, mutate] : excluded) {
+      LogRecord mutated = base;
+      mutate(&mutated);
+      EXPECT_EQ(mutated.ContentDigest(), original) << what;
+      expect_lockstep(mutated, what);
+    }
+  }
+}
+
 TEST_P(RecordRoundTripTest, AttestCanonicalSeparatesPurposes) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 0x777);
   crypto::Digest digest;
