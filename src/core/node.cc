@@ -372,9 +372,16 @@ bool BlockplaneNode::VerifyReceived(const LogRecord& record) const {
 
 bool BlockplaneNode::VerifyReceivedAt(const LogRecord& record,
                                       uint64_t last) const {
-  // The built-in receive verification routine (§IV-C).
+  // The built-in receive verification routine (§IV-C). The verdict is the
+  // conjunction of checks (1)-(4); the cheap position checks run first, so
+  // a duplicate or out-of-order submission is rejected before any crypto.
   if (record.dest_site != origin_site_) return false;
   if (record.src_site == origin_site_ || record.src_site < 0) return false;
+
+  // (2) Not received before, and (3) no earlier unreceived transmission:
+  // the chain pointer must extend the reception watermark.
+  if (record.src_log_pos <= last) return false;
+  if (record.prev_src_log_pos != last) return false;
 
   // (1) f_i+1 signatures from the source participant's unit. With quorum
   // certificates (wire v2, DESIGN.md §14) the record carries one compact
@@ -397,11 +404,6 @@ bool BlockplaneNode::VerifyReceivedAt(const LogRecord& record,
       return false;
     }
   }
-
-  // (2) Not received before, and (3) no earlier unreceived transmission:
-  // the chain pointer must extend the reception watermark.
-  if (record.src_log_pos <= last) return false;
-  if (record.prev_src_log_pos != last) return false;
 
   // (4) §V: with geo-correlated tolerance, the source must prove that fg
   // other participants hold the record.

@@ -155,17 +155,34 @@ class KeyStore {
     net::NodeId signer;
     Digest mac;
     Bytes msg;
-
-    friend bool operator==(const VerifiedSig& a, const VerifiedSig& b) {
+  };
+  /// A lookup probe over a triple the caller owns: the cache is probed
+  /// without copying the message, which is copied only on insert.
+  struct VerifiedSigRef {
+    net::NodeId signer;
+    const Digest& mac;
+    const Bytes& msg;
+  };
+  /// Transparent hash and equality, so either form probes the set.
+  struct VerifiedSigHash {
+    using is_transparent = void;
+    template <typename T>
+    size_t operator()(const T& v) const {
+      return Hash(v.signer, v.mac);
+    }
+    static size_t Hash(net::NodeId signer, const Digest& mac);
+  };
+  struct VerifiedSigEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
       return a.signer == b.signer && a.mac == b.mac && a.msg == b.msg;
     }
   };
-  struct VerifiedSigHash {
-    size_t operator()(const VerifiedSig& v) const;
-  };
-  using VerifiedSet = std::unordered_set<VerifiedSig, VerifiedSigHash>;
+  using VerifiedSet =
+      std::unordered_set<VerifiedSig, VerifiedSigHash, VerifiedSigEq>;
 
-  bool CacheLookup(const VerifiedSig& entry) const;
+  bool CacheLookup(const VerifiedSigRef& probe) const;
   void CacheInsert(VerifiedSig entry) const;
 
   struct KeyEntry {

@@ -16,8 +16,8 @@ Network::Network(sim::Simulator* simulator, Topology topology,
   // the CounterSet; reset clears it. The handle is dropped in ~Network so a
   // registry dump never reads freed memory.
   metrics_handle_ = metrics_registry().Register(
-      "network", [this]() { return counters_.all(); },
-      [this]() { counters_.Clear(); });
+      "network", [this]() { return counters().all(); },
+      [this]() { ResetCounters(); });
 }
 
 Network::~Network() { metrics_registry().Unregister(metrics_handle_); }
@@ -37,9 +37,13 @@ void Network::Send(Message msg) {
   }
 
   const bool local = msg.src.site == msg.dst.site;
-  counters_.Increment(local ? "lan_messages" : "wan_messages");
-  counters_.Increment(local ? "lan_bytes" : "wan_bytes",
-                      static_cast<int64_t>(msg.wire_bytes));
+  if (local) {
+    ++lan_messages_;
+    lan_bytes_ += static_cast<int64_t>(msg.wire_bytes);
+  } else {
+    ++wan_messages_;
+    wan_bytes_ += static_cast<int64_t>(msg.wire_bytes);
+  }
   if (!local && options_.per_type_wan_counters) {
     // Bench-only breakdown: the network is protocol-agnostic, so the key
     // carries the numeric type tag; benches map tags back to names.
@@ -100,38 +104,45 @@ void Network::Send(Message msg) {
   if (arrive <= last_arrival) arrive = last_arrival + 1;
   last_arrival = arrive;
 
-  Deliver(msg, arrive);
   if (options_.duplicate_prob > 0 && rng_.Bernoulli(options_.duplicate_prob)) {
     // The duplicate shares the original's payload allocation.
     hotpath_stats().bytes_copied_saved +=
         static_cast<int64_t>(msg.body().size());
-    Deliver(msg, arrive + sim::Microseconds(10));
+    Deliver(msg, arrive);
+    Deliver(std::move(msg), arrive + sim::Microseconds(10));
     counters_.Increment("duplicated_messages");
+    return;
   }
+  Deliver(std::move(msg), arrive);
 }
 
-void Network::Deliver(const Message& msg, sim::SimTime arrive) {
+void Network::Deliver(Message msg, sim::SimTime arrive) {
   // Two-stage delivery: the message first *arrives*, then queues on the
   // destination's CPU. Claiming CPU time at arrival (not at send) keeps a
   // long-flight wide-area message from reserving the receiver's CPU far in
   // the future ahead of local traffic that actually arrives earlier.
   //
-  // Both stages capture the Message by value; with shared payloads each
-  // capture is a refcount bump, where it used to deep-copy the bytes twice
-  // per delivered message.
+  // Both stages carry the Message by value, moved from stage to stage, so
+  // the shared payload is never copied; `bytes_copied_saved` counts the two
+  // deep copies an owned payload would cost.
   hotpath_stats().bytes_copied_saved +=
       2 * static_cast<int64_t>(msg.body().size());
-  sim_->ScheduleAt(arrive, [this, msg]() {
+  auto arrival = [this, msg = std::move(msg)]() mutable {
     sim::SimTime& cpu_free = cpu_free_at_[msg.dst];
     sim::SimTime handled_at =
         std::max(sim_->Now(), cpu_free) + options_.per_message_cpu;
     cpu_free = handled_at;
-    HandleAt(msg, handled_at);
-  });
+    HandleAt(std::move(msg), handled_at);
+  };
+  // Each hop is one event per stage; a capture that outgrows the inline
+  // buffer would bring back a heap allocation per stage.
+  static_assert(sim::EventFn::kFitsInline<decltype(arrival)>,
+                "the delivery closure must fit sim::EventFn's inline buffer");
+  sim_->ScheduleAt(arrive, std::move(arrival));
 }
 
-void Network::HandleAt(const Message& msg, sim::SimTime handled_at) {
-  sim_->ScheduleAt(handled_at, [this, msg]() {
+void Network::HandleAt(Message msg, sim::SimTime handled_at) {
+  auto handle = [this, msg = std::move(msg)]() {
     // Re-check crash state at delivery time: the destination may have
     // crashed while the message was in flight.
     if (IsCrashed(msg.dst)) {
@@ -144,7 +155,27 @@ void Network::HandleAt(const Message& msg, sim::SimTime handled_at) {
       return;
     }
     it->second->HandleMessage(msg);
-  });
+  };
+  static_assert(sim::EventFn::kFitsInline<decltype(handle)>,
+                "the handling closure must fit sim::EventFn's inline buffer");
+  sim_->ScheduleAt(handled_at, std::move(handle));
+}
+
+const CounterSet& Network::counters() const {
+  // The per-hop totals are plain fields; they join the string-keyed
+  // counters here, and only once non-zero, so every reader sees the keys
+  // and values a CounterSet increment per send would have produced.
+  snapshot_ = counters_;
+  if (lan_messages_ != 0) snapshot_.Increment("lan_messages", lan_messages_);
+  if (lan_bytes_ != 0) snapshot_.Increment("lan_bytes", lan_bytes_);
+  if (wan_messages_ != 0) snapshot_.Increment("wan_messages", wan_messages_);
+  if (wan_bytes_ != 0) snapshot_.Increment("wan_bytes", wan_bytes_);
+  return snapshot_;
+}
+
+void Network::ResetCounters() {
+  counters_.Clear();
+  lan_messages_ = lan_bytes_ = wan_messages_ = wan_bytes_ = 0;
 }
 
 void Network::Crash(NodeId id) { crashed_.insert(id); }

@@ -124,13 +124,14 @@ class Network {
   // --- Accounting ----------------------------------------------------------
 
   /// Counters: {lan,wan}_messages, {lan,wan}_bytes, dropped_messages,
-  /// corrupted_messages.
-  const CounterSet& counters() const { return counters_; }
-  void ResetCounters() { counters_.Clear(); }
+  /// corrupted_messages. The reference stays valid for the network's
+  /// lifetime; each call refreshes it.
+  const CounterSet& counters() const;
+  void ResetCounters();
 
  private:
-  void Deliver(const Message& msg, sim::SimTime arrive);
-  void HandleAt(const Message& msg, sim::SimTime handled_at);
+  void Deliver(Message msg, sim::SimTime arrive);
+  void HandleAt(Message msg, sim::SimTime handled_at);
 
   sim::Simulator* sim_;
   Topology topology_;
@@ -148,7 +149,16 @@ class Network {
   /// PartitionOneWay inserts just one.
   std::set<std::pair<SiteId, SiteId>> partitions_;
 
+  /// Per-send totals, kept out of `counters_` so a send costs no
+  /// string-keyed map update.
+  int64_t lan_messages_ = 0;
+  int64_t lan_bytes_ = 0;
+  int64_t wan_messages_ = 0;
+  int64_t wan_bytes_ = 0;
+  /// Everything else: drops, corruption, duplicates, per-type WAN bytes.
   CounterSet counters_;
+  /// What counters() returns: `counters_` plus the non-zero totals.
+  mutable CounterSet snapshot_;
   /// Handle of this network's group in the process-wide metrics registry.
   int64_t metrics_handle_ = 0;
 };

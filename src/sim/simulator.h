@@ -10,16 +10,18 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/macros.h"
+#include "sim/event_fn.h"
 #include "sim/random.h"
 #include "sim/sim_time.h"
 
 namespace blockplane::sim {
 
-/// Handle for a scheduled event; used to cancel timers.
+/// Handle for a scheduled event; used to cancel timers. The low bits name
+/// the callback slot the event occupies, the high bits its issue number,
+/// which is unique per Simulator and never 0.
 using EventId = uint64_t;
 constexpr EventId kInvalidEventId = 0;
 
@@ -32,13 +34,15 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   /// Schedules `fn` to run `delay` from now. Delays clamp to >= 0.
-  EventId Schedule(SimTime delay, std::function<void()> fn);
+  EventId Schedule(SimTime delay, EventFn fn);
 
   /// Schedules `fn` at an absolute virtual time (>= Now()).
-  EventId ScheduleAt(SimTime when, std::function<void()> fn);
+  EventId ScheduleAt(SimTime when, EventFn fn);
 
-  /// Cancels a pending event. Cancelling an already-fired or invalid id is a
-  /// no-op, which keeps timer bookkeeping simple for callers.
+  /// Cancels a pending event and destroys its callback. Cancelling an
+  /// already-fired, already-cancelled, never-issued or invalid id is a
+  /// strict no-op — also when the id's slot now holds a newer event — which
+  /// keeps timer bookkeeping simple for callers.
   void Cancel(EventId id);
 
   /// Runs until the event queue drains. Returns the final virtual time.
@@ -58,39 +62,47 @@ class Simulator {
   Rng& rng() { return rng_; }
 
   uint64_t processed_events() const { return processed_; }
-  /// Events scheduled, not yet fired, and not cancelled. Exact: cancelled
-  /// ids leave the pending set immediately, fired ids leave it as they pop.
-  size_t pending_events() const { return pending_ids_.size(); }
+  /// Events scheduled, not yet fired, and not cancelled. Exact: a cancelled
+  /// event leaves the count immediately, a fired one as it pops.
+  size_t pending_events() const { return pending_; }
 
  private:
-  struct Event {
+  /// Heap entry. Trivially copyable: the callback stays in its slot. The
+  /// issue number in the id's high bits is the FIFO tie-break for equal
+  /// timestamps, so (when, id) is a strict total order and the pop order
+  /// does not depend on the heap implementation.
+  struct Key {
     SimTime when;
-    uint64_t seq;  // FIFO tie-break for equal timestamps
     EventId id;
-    std::function<void()> fn;
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
+  struct KeyLater {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+      return a.id > b.id;
     }
   };
+  /// A callback slot. It holds an event exactly while `id` equals that
+  /// event's id; a free slot holds kInvalidEventId. A heap key whose slot no
+  /// longer holds it belongs to a cancelled event and is skipped.
+  struct Slot {
+    EventId id = kInvalidEventId;
+    EventFn fn;
+  };
+  static constexpr int kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
 
   /// Pops and runs one event. Returns false if the queue is empty.
   bool Step();
+  /// Returns a slot to the free list and drops its event from the count.
+  void Release(uint32_t slot);
 
   SimTime now_ = 0;
-  uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
+  uint64_t next_issue_ = 1;
   uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  /// Ids of live (scheduled, unfired, uncancelled) events. Guards Cancel():
-  /// cancelling a fired/unknown id is a strict no-op, so `cancelled_` can
-  /// never accumulate ids that will never be popped.
-  std::unordered_set<EventId> pending_ids_;
-  /// Ids cancelled while still queued; entries are erased when their queue
-  /// slot pops, so this set is always a subset of the queue contents.
-  std::unordered_set<EventId> cancelled_;
+  size_t pending_ = 0;
+  std::priority_queue<Key, std::vector<Key>, KeyLater> queue_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   Rng rng_;
 };
 

@@ -9,7 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
+#include "core/record.h"
 #include "core/wire.h"
+#include "crypto/signer.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 
@@ -254,6 +257,90 @@ TEST(BlockplaneCoreTest, DuplicateTransmissionCommitsOnce) {
   EXPECT_FALSE(
       harness.deployment_.participant(kOregon)->TryReceive(kCalifornia,
                                                            &payload));
+}
+
+TEST(BlockplaneCoreTest, ReceiveVerdictTableChecksPositionsFirst) {
+  // {position fresh, duplicate, gap} x {proof valid, forged}: only a fresh
+  // position with a valid f_i+1 proof enters Oregon's Local Log, and a
+  // duplicate or a gap is refused before a single proof signature is
+  // checked.
+  CoreHarness harness;
+  Bytes received;
+  ASSERT_TRUE(harness.SendAndDeliver(kCalifornia, kOregon, "genuine",
+                                     &received));
+  harness.simulator_.RunFor(Seconds(2));
+  uint64_t last = 0;
+  uint64_t prev = 0;
+  for (const auto& [pos, record] : harness.deployment_.node(kOregon, 0)->log()) {
+    if (record.type == RecordType::kReceived) {
+      last = record.src_log_pos;
+      prev = record.prev_src_log_pos;
+    }
+  }
+  ASSERT_GT(last, 0u);
+
+  std::vector<std::unique_ptr<crypto::Signer>> signers;
+  for (int i = 0; i < 2; ++i) {  // f_i + 1 with the default f_i = 1
+    signers.push_back(harness.deployment_.keys()->RegisterNode({kCalifornia, i}));
+  }
+  auto craft = [&](uint64_t pos, uint64_t chained_after, bool valid) {
+    TransmissionRecord tr;
+    tr.src_site = kCalifornia;
+    tr.dest_site = kOregon;
+    tr.src_log_pos = pos;
+    tr.prev_src_log_pos = chained_after;
+    tr.payload = ToBytes("crafted " + std::to_string(pos));
+    Bytes canonical =
+        AttestCanonical(AttestPurpose::kTransmission, kCalifornia, pos,
+                        tr.ToReceivedRecord().ContentDigest());
+    for (const auto& signer : signers) {
+      crypto::Signature sig = signer->Sign(canonical);
+      if (!valid) sig.mac[0] ^= 0x01;
+      tr.sigs.push_back(sig);
+    }
+    return tr;
+  };
+  struct Row {
+    const char* name;
+    TransmissionRecord tr;
+    bool accepted;
+    bool proof_checked;
+  };
+  // Every row claims its own position, so no row's submission state at the
+  // destination carries over into another; the accepted row runs last, as
+  // it moves the reception watermark.
+  const std::vector<Row> rows = {
+      {"duplicate+valid", craft(last, prev, true), false, false},
+      {"duplicate+forged", craft(last, prev, false), false, false},
+      {"gap+valid", craft(last + 3, last + 2, true), false, false},
+      {"gap+forged", craft(last + 5, last + 4, false), false, false},
+      {"fresh+forged", craft(last + 6, last, false), false, true},
+      {"fresh+valid", craft(last + 7, last, true), true, true},
+  };
+  for (const Row& row : rows) {
+    const size_t log_size = harness.deployment_.node(kOregon, 0)->log_size();
+    qc_stats().Reset();
+    for (int i = 0; i < 4; ++i) {
+      net::Message msg;
+      msg.src = {kCalifornia, 3};
+      msg.dst = {kOregon, i};
+      msg.type = kTransmission;
+      msg.set_body(row.tr.Encode());
+      harness.deployment_.network()->Send(msg);
+    }
+    harness.simulator_.RunFor(Seconds(5));
+    Bytes payload;
+    EXPECT_EQ(harness.deployment_.participant(kOregon)->TryReceive(kCalifornia,
+                                                                   &payload),
+              row.accepted)
+        << row.name;
+    EXPECT_EQ(harness.deployment_.node(kOregon, 0)->log_size(),
+              log_size + (row.accepted ? 1 : 0))
+        << row.name;
+    EXPECT_EQ(qc_stats().proof_sig_verifies > 0, row.proof_checked)
+        << row.name;
+  }
+  qc_stats().Reset();
 }
 
 TEST(BlockplaneCoreTest, MutedDaemonReserveTakesOver) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -304,6 +305,46 @@ TEST(VerifyCacheTest, ForgedSignaturesNeverHitTheCache) {
   EXPECT_TRUE(keys.Verify(msg, sig));
 }
 
+TEST(VerifyCacheTest, ProbeDifferingInOneFieldMisses) {
+  // The cache is probed through a borrowed view of the caller's triple; a
+  // hit must still require every byte of signer, MAC and message to match.
+  // MAC byte 31 lies outside the hashed prefix, so only equality can tell
+  // it apart.
+  KeyStore keys;
+  auto signer = keys.RegisterNode({0, 0});
+  keys.RegisterNode({0, 1});
+  Bytes msg = ToBytes("attest record 17");
+  Signature sig = signer->Sign(msg);
+  ASSERT_TRUE(keys.Verify(msg, sig));  // prime the cache
+
+  Bytes first_byte = msg;
+  first_byte.front() ^= 0x01;
+  Bytes last_byte = msg;
+  last_byte.back() ^= 0x01;
+  Bytes prefix(msg.begin(), msg.end() - 1);
+  Signature mac_head = sig;
+  mac_head.mac[0] ^= 0x01;
+  Signature mac_tail = sig;
+  mac_tail.mac[31] ^= 0x01;
+  Signature other_signer = sig;
+  other_signer.signer = {0, 1};
+  const std::vector<std::pair<Bytes, Signature>> probes = {
+      {first_byte, sig}, {last_byte, sig},      {prefix, sig},
+      {msg, mac_head},   {msg, mac_tail},       {msg, other_signer}};
+
+  hotpath_stats().Reset();
+  for (const auto& [probe_msg, probe_sig] : probes) {
+    EXPECT_FALSE(keys.Verify(probe_msg, probe_sig));
+  }
+  EXPECT_EQ(hotpath_stats().sig_cache_hits, 0);
+  EXPECT_EQ(hotpath_stats().sig_cache_misses,
+            static_cast<int64_t>(probes.size()));
+  // The cached triple itself still hits.
+  EXPECT_TRUE(keys.Verify(msg, sig));
+  EXPECT_EQ(hotpath_stats().sig_cache_hits, 1);
+  hotpath_stats().Reset();
+}
+
 TEST(VerifyCacheTest, DisabledCacheStillVerifiesCorrectly) {
   KeyStore keys;
   keys.set_verify_cache_capacity(0);
@@ -350,6 +391,10 @@ struct KernelCase {
   const char* name;
   CompressFn compress;  // null: this CPU cannot run the kernel
 };
+
+// gtest would print the raw bytes, function pointer included, into every
+// test's listed name; the kernel name keeps the names fixed across builds.
+void PrintTo(const KernelCase& kernel, std::ostream* os) { *os << kernel.name; }
 
 std::vector<KernelCase> AllKernels() {
   std::vector<KernelCase> kernels = {

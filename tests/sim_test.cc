@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "sim/random.h"
@@ -182,6 +185,141 @@ TEST(SimulatorTest, CancelInsideCallbackOfSameTimestamp) {
   second = simulator.Schedule(Milliseconds(1), [&] { second_ran = true; });
   simulator.Run();
   EXPECT_FALSE(second_ran);
+  EXPECT_EQ(simulator.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, StaleHandleCannotCancelTheSlotsNewOccupant) {
+  // A cancelled or fired event frees its slot, and the next event reuses
+  // it. The old handle names the same slot but an older issue number, so
+  // cancelling it again must leave the new occupant alone.
+  Simulator simulator;
+  int fired = 0;
+  EventId cancelled = simulator.Schedule(Milliseconds(1), [&] { fired += 100; });
+  simulator.Cancel(cancelled);
+  EventId reuser = simulator.Schedule(Milliseconds(1), [&] { ++fired; });
+  EXPECT_NE(reuser, cancelled);
+  simulator.Cancel(cancelled);
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  simulator.Run();
+  EXPECT_EQ(fired, 1);
+
+  EventId done = simulator.Schedule(Milliseconds(1), [&] { ++fired; });
+  simulator.Run();
+  EXPECT_EQ(fired, 2);
+  EventId next = simulator.Schedule(Milliseconds(1), [&] { ++fired; });
+  EXPECT_NE(next, done);
+  simulator.Cancel(done);
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  simulator.Run();
+  EXPECT_EQ(fired, 3);
+}
+
+TEST(SimulatorTest, MoveOnlyCapturesRun) {
+  Simulator simulator;
+  int seen = 0;
+  auto owned = std::make_unique<int>(42);
+  simulator.Schedule(Milliseconds(1),
+                     [&seen, p = std::move(owned)] { seen = *p; });
+  simulator.Run();
+  EXPECT_EQ(seen, 42);
+}
+
+/// A capture too large for EventFn's inline buffer that counts its runs and
+/// destructions (moved-from husks do not count).
+struct LargeCapture {
+  LargeCapture(int* runs, int* destroyed) : runs_(runs), destroyed_(destroyed) {}
+  LargeCapture(LargeCapture&& other) noexcept
+      : pad_(other.pad_), runs_(other.runs_), destroyed_(other.destroyed_) {
+    other.destroyed_ = nullptr;
+  }
+  LargeCapture(const LargeCapture&) = delete;
+  ~LargeCapture() {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+  void operator()() { ++*runs_; }
+
+ private:
+  std::array<char, 4 * EventFn::kInlineSize> pad_{};
+  int* runs_;
+  int* destroyed_;
+};
+static_assert(!EventFn::kFitsInline<LargeCapture>);
+
+TEST(SimulatorTest, LargeCaptureRunsOnceAndIsDestroyedOnce) {
+  int runs = 0;
+  int fired_destroyed = 0;
+  int cancelled_destroyed = 0;
+  int pending_destroyed = 0;
+  {
+    Simulator simulator;
+    simulator.Schedule(Milliseconds(1), LargeCapture(&runs, &fired_destroyed));
+    EventId cancelled = simulator.Schedule(
+        Milliseconds(2), LargeCapture(&runs, &cancelled_destroyed));
+    simulator.Schedule(Seconds(10), LargeCapture(&runs, &pending_destroyed));
+    simulator.RunUntil(Milliseconds(1));
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(fired_destroyed, 1);
+    simulator.Cancel(cancelled);
+    EXPECT_EQ(cancelled_destroyed, 1);  // at once, not when its key pops
+    EXPECT_EQ(pending_destroyed, 0);
+    // The simulator dies with the cancelled key and the pending event both
+    // still queued.
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(fired_destroyed, 1);
+  EXPECT_EQ(cancelled_destroyed, 1);
+  EXPECT_EQ(pending_destroyed, 1);  // still queued when the simulator died
+}
+
+TEST(SimulatorTest, EqualTimestampsStayFifoAcrossCancelsAndSlotReuse) {
+  // Cancelled events free low slots that later events reuse; order among
+  // equal timestamps must follow scheduling order, not slot order.
+  Simulator simulator;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 12; ++i) {
+    ids.push_back(simulator.Schedule(Milliseconds(5),
+                                     [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 12; i += 3) simulator.Cancel(ids[i]);
+  for (int i = 12; i < 18; ++i) {
+    simulator.Schedule(Milliseconds(5), [&order, i] { order.push_back(i); });
+  }
+  simulator.Cancel(ids[4]);
+  simulator.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 5, 7, 8, 10, 11, 12, 13, 14, 15,
+                                     16, 17}));
+}
+
+TEST(SimulatorTest, PendingEventsExactUnderChurn) {
+  // Random schedule / fire / cancel churn against a model of the live set,
+  // with heavy slot reuse. Cancels pick any handle ever issued: live, fired,
+  // or already cancelled.
+  Simulator simulator;
+  Rng rng(5);
+  std::set<EventId> live;
+  std::vector<EventId> issued;
+  for (int round = 0; round < 2000; ++round) {
+    const uint64_t action = rng.NextBelow(4);
+    if (action <= 1) {
+      const size_t index = issued.size();
+      issued.push_back(kInvalidEventId);
+      issued[index] = simulator.Schedule(
+          static_cast<SimTime>(rng.NextBelow(50)), [&live, &issued, index] {
+            EXPECT_EQ(live.erase(issued[index]), 1u) << "fired while dead";
+          });
+      live.insert(issued[index]);
+    } else if (action == 2 && !issued.empty()) {
+      EventId victim = issued[rng.NextBelow(issued.size())];
+      simulator.Cancel(victim);
+      live.erase(victim);
+    } else {
+      simulator.RunFor(static_cast<SimTime>(rng.NextBelow(20)));
+    }
+    ASSERT_EQ(simulator.pending_events(), live.size()) << "round " << round;
+  }
+  simulator.Run();
+  EXPECT_TRUE(live.empty());
   EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
