@@ -3,6 +3,7 @@
 // encoding, the simulator core, and an end-to-end local commit.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
+#include "pbft/replica.h"
 
 namespace blockplane {
 namespace {
@@ -222,6 +224,65 @@ void BM_LocalCommitEndToEnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalCommitEndToEnd);
+
+void BM_PbftVoteReceive(benchmark::State& state) {
+  // One PBFT vote received, checked and retired through the InlineRunner:
+  // decode, MAC over the canonical body, and the epilogue that files it
+  // into its instance. Each prepare from replica 1 reaches the other three
+  // replicas, which share one KeyStore as a simulated unit does, and every
+  // vote is distinct so no verdict carries over between batches. The
+  // replicas (and the simulator holding their progress timers) are torn
+  // down and rebuilt outside the timing every kBatch votes, so instance
+  // state stays bounded.
+  constexpr int kBatch = 256;
+  const pbft::PbftConfig config = pbft::UnitConfig(/*site=*/0, /*f=*/1);
+  crypto::KeyStore keys;
+  const auto voter = keys.RegisterNode(config.nodes[1]);
+  uint64_t distinct = 0;
+  std::unique_ptr<sim::Simulator> simulator;
+  std::unique_ptr<net::Network> network;
+  std::vector<std::unique_ptr<pbft::PbftReplica>> receivers;
+  std::vector<net::Message> votes(kBatch);
+  runner_stats().Reset();
+  for (auto _ : state) {
+    state.PauseTiming();
+    receivers.clear();
+    network.reset();
+    simulator = std::make_unique<sim::Simulator>(1);
+    network = std::make_unique<net::Network>(simulator.get(),
+                                             net::Topology::SingleSite());
+    for (int r : {0, 2, 3}) {
+      receivers.push_back(std::make_unique<pbft::PbftReplica>(
+          network.get(), &keys, config, config.nodes[r], nullptr));
+    }
+    for (int i = 0; i < kBatch; ++i) {
+      pbft::VoteMsg vote;
+      vote.type = pbft::kPrepare;
+      vote.seq = static_cast<uint64_t>(i) + 1;
+      ++distinct;
+      for (int b = 0; b < 8; ++b) {
+        vote.digest[b] = static_cast<uint8_t>(distinct >> (8 * b));
+      }
+      const auto body = vote.CanonicalBody();
+      vote.sig = voter->Sign(Bytes(body.begin(), body.end()));
+      votes[i].src = config.nodes[1];
+      votes[i].type = pbft::kPrepare;
+      votes[i].set_body(vote.Encode());
+    }
+    state.ResumeTiming();
+    for (const net::Message& msg : votes) {
+      for (auto& receiver : receivers) receiver->HandleMessage(msg);
+    }
+  }
+  if (runner_stats().prologues_dropped != 0) {
+    state.SkipWithError("a genuine vote was dropped");
+  }
+  // Reported per received vote.
+  state.counters["per_vote"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kBatch * 3,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PbftVoteReceive);
 
 }  // namespace
 }  // namespace blockplane

@@ -73,6 +73,13 @@ class Decoder {
   Status GetVarint(uint64_t* out);
   Status GetBytes(Bytes* out);
   Status GetString(std::string* out);
+  /// Raw bytes of a known length (digests, MACs): one check, one memcpy.
+  Status GetRaw(uint8_t* out, size_t len) {
+    if (remaining() < len) return Status::Corruption("decoder underflow");
+    std::memcpy(out, data_ + pos_, len);
+    pos_ += len;
+    return Status::OK();
+  }
 
   /// Number of unread bytes.
   size_t remaining() const { return size_ - pos_; }

@@ -66,8 +66,8 @@ struct HotPathStats {
   int64_t sig_cache_hits = 0;
   /// Verifications that had to run the full HMAC (and seeded the cache).
   int64_t sig_cache_misses = 0;
-  /// Canonical-body/header encodes skipped because a memoized verdict or a
-  /// shared already-encoded buffer made re-encoding unnecessary.
+  /// PBFT vote bodies hashed in place from a stack buffer instead of being
+  /// encoded into a heap buffer: one per vote signed, one per vote verified.
   int64_t encodes_elided = 0;
   /// Payload bytes that would have been deep-copied by broadcast fan-out,
   /// retransmission buffers, or out-of-order receive buffering before the

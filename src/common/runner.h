@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/inline_fn.h"
 #include "common/macros.h"
 
 namespace blockplane::common {
@@ -41,11 +42,13 @@ class Runner {
  public:
   /// State-touching completion of one task; runs on the submitting thread,
   /// strictly in submission order. May be null (the prologue dropped the
-  /// message).
-  using Epilogue = std::function<void()>;
+  /// message). The inline budget holds `this`, a decoded PBFT pre-prepare
+  /// or vote by value, and a trace id.
+  using Epilogue = InlineFn<void, 160>;
   /// Pure computation over inputs captured at submission; may run on a
-  /// worker thread. Returns the epilogue to retire for this slot.
-  using Prologue = std::function<Epilogue()>;
+  /// worker thread. Returns the epilogue to retire for this slot. The
+  /// inline budget holds `this` plus a net::Message.
+  using Prologue = InlineFn<Epilogue, 64>;
   /// One fork-join batch task (see RunBatch); pure, may run on any thread,
   /// must only write outputs disjoint from every other task in its batch.
   using BatchTask = std::function<void()>;
@@ -74,8 +77,8 @@ class Runner {
   /// Worker threads owned by this runner; 0 means fully serial.
   virtual int workers() const = 0;
   /// True when prologues run inline on the submitting thread. Serial-only
-  /// fast paths (memo caches, verify-once caches) are safe exactly when
-  /// this holds.
+  /// fast paths (the verify-once caches) are safe in a prologue exactly
+  /// when this holds.
   bool serial() const { return workers() == 0; }
 };
 

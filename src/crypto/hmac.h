@@ -43,9 +43,6 @@ class PrecomputedHmacKey {
   /// HMAC-SHA256(key, data), from the cached midstates.
   Digest Sign(const uint8_t* data, size_t len) const;
   Digest Sign(const Bytes& data) const { return Sign(data.data(), data.size()); }
-  Digest Sign(std::string_view s) const {
-    return Sign(reinterpret_cast<const uint8_t*>(s.data()), s.size());
-  }
 
   /// Constant-shape verify: recomputes the MAC and compares.
   bool Verify(const Bytes& data, const Digest& mac) const {
@@ -60,10 +57,6 @@ class PrecomputedHmacKey {
   Digest SignDetached(const uint8_t* data, size_t len) const;
   Digest SignDetached(const Bytes& data) const {
     return SignDetached(data.data(), data.size());
-  }
-  /// Worker-thread-safe verify: recomputes via SignDetached and compares.
-  bool VerifyDetached(const Bytes& data, const Digest& mac) const {
-    return SignDetached(data) == mac;
   }
 
  private:

@@ -71,10 +71,11 @@ std::unique_ptr<Signer> KeyStore::RegisterNode(net::NodeId node) {
   return std::unique_ptr<Signer>(new Signer(this, node));
 }
 
-Digest KeyStore::SignAs(net::NodeId node, const Bytes& msg) const {
+Digest KeyStore::SignAs(net::NodeId node, const uint8_t* msg,
+                        size_t len) const {
   auto it = keys_.find(node);
   BP_CHECK_MSG(it != keys_.end(), "signing for unregistered node");
-  return it->second.hmac.Sign(msg);
+  return it->second.hmac.Sign(msg, len);
 }
 
 bool KeyStore::Verify(const Bytes& msg, const Signature& sig) const {
@@ -99,10 +100,11 @@ const PrecomputedHmacKey& KeyStore::HmacFor(net::NodeId node) const {
   return it->second.hmac;
 }
 
-bool KeyStore::VerifyDetached(const Bytes& msg, const Signature& sig) const {
+bool KeyStore::VerifyDetached(const uint8_t* msg, size_t len,
+                              const Signature& sig) const {
   auto it = keys_.find(sig.signer);
   if (it == keys_.end()) return false;
-  return it->second.hmac.VerifyDetached(msg, sig.mac);
+  return it->second.hmac.SignDetached(msg, len) == sig.mac;
 }
 
 void KeyStore::VerifyBatch(std::vector<VerifyJob>* jobs,
@@ -195,10 +197,7 @@ Status DecodeSignature(Decoder* dec, Signature* out) {
   BP_RETURN_NOT_OK(dec->GetU32(&index));
   out->signer.site = static_cast<int32_t>(site);
   out->signer.index = static_cast<int32_t>(index);
-  for (auto& byte : out->mac) {
-    BP_RETURN_NOT_OK(dec->GetU8(&byte));
-  }
-  return Status::OK();
+  return dec->GetRaw(out->mac.data(), out->mac.size());
 }
 
 void EncodeProof(Encoder* enc, const std::vector<Signature>& proof) {

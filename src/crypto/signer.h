@@ -87,7 +87,11 @@ class KeyStore {
   /// Runner prologues (DESIGN.md §12). Safe to call concurrently from
   /// worker threads provided no RegisterNode runs concurrently —
   /// registration is deployment setup, strictly before traffic flows.
-  bool VerifyDetached(const Bytes& msg, const Signature& sig) const;
+  bool VerifyDetached(const uint8_t* msg, size_t len,
+                      const Signature& sig) const;
+  bool VerifyDetached(const Bytes& msg, const Signature& sig) const {
+    return VerifyDetached(msg.data(), msg.size(), sig);
+  }
 
   /// Batched verification through `runner` (nullptr = DefaultRunner).
   /// Jobs are split into chunks; each chunk's HMAC recomputation runs as
@@ -146,7 +150,7 @@ class KeyStore {
 
  private:
   friend class Signer;
-  Digest SignAs(net::NodeId node, const Bytes& msg) const;
+  Digest SignAs(net::NodeId node, const uint8_t* msg, size_t len) const;
   /// The precomputed key of a registered node (CHECK-fails otherwise).
   const PrecomputedHmacKey& HmacFor(net::NodeId node) const;
 
@@ -232,8 +236,11 @@ class KeyStore {
 class Signer {
  public:
   /// Signs a message as this node.
+  Signature Sign(const uint8_t* msg, size_t len) const {
+    return Signature{node_, store_->SignAs(node_, msg, len)};
+  }
   Signature Sign(const Bytes& msg) const {
-    return Signature{node_, store_->SignAs(node_, msg)};
+    return Sign(msg.data(), msg.size());
   }
 
   /// Batched signing through `runner` (nullptr = DefaultRunner). Chunked

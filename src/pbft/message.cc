@@ -1,5 +1,7 @@
 #include "pbft/message.h"
 
+#include <cstring>
+
 #include "crypto/sha256.h"
 
 namespace blockplane::pbft {
@@ -11,10 +13,7 @@ void PutDigest(Encoder* enc, const Digest& d) {
 }
 
 Status GetDigest(Decoder* dec, Digest* d) {
-  for (auto& byte : *d) {
-    BP_RETURN_NOT_OK(dec->GetU8(&byte));
-  }
-  return Status::OK();
+  return dec->GetRaw(d->data(), d->size());
 }
 
 }  // namespace
@@ -90,13 +89,15 @@ Status PrePrepareMsg::Decode(const Bytes& buf, PrePrepareMsg* out) {
 
 // --- VoteMsg -----------------------------------------------------------------
 
-Bytes VoteMsg::CanonicalBody() const {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(type));
-  enc.PutU64(view);
-  enc.PutU64(seq);
-  PutDigest(&enc, digest);
-  return enc.Take();
+VoteMsg::CanonicalBytes VoteMsg::CanonicalBody() const {
+  CanonicalBytes body{};
+  body[0] = static_cast<uint8_t>(type);
+  for (size_t i = 0; i < 8; ++i) {
+    body[1 + i] = static_cast<uint8_t>(view >> (8 * i));
+    body[9 + i] = static_cast<uint8_t>(seq >> (8 * i));
+  }
+  std::memcpy(&body[17], digest.data(), digest.size());
+  return body;
 }
 
 Bytes VoteMsg::Encode() const {

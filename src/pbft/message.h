@@ -10,6 +10,7 @@
 #ifndef BLOCKPLANE_PBFT_MESSAGE_H_
 #define BLOCKPLANE_PBFT_MESSAGE_H_
 
+#include <array>
 #include <vector>
 
 #include "common/codec.h"
@@ -82,7 +83,13 @@ struct VoteMsg {
   Digest digest{};
   Signature sig;
 
-  Bytes CanonicalBody() const;
+  /// The signed body: type tag, little-endian view and seq, digest.
+  static constexpr size_t kCanonicalSize = 1 + 8 + 8 + sizeof(Digest);
+  using CanonicalBytes = std::array<uint8_t, kCanonicalSize>;
+
+  /// Built in place, with no allocation; byte-identical to encoding the
+  /// four fields with Encoder::PutU8/PutU64/PutU64/PutRaw.
+  CanonicalBytes CanonicalBody() const;
   Bytes Encode() const;
   static Status Decode(PbftMessageType type, const Bytes& buf, VoteMsg* out);
 };

@@ -149,24 +149,16 @@ void PbftReplica::SendShared(net::NodeId dst, net::MessageType type,
   network_->Send(std::move(msg));
 }
 
-const Bytes& PbftReplica::CanonicalBodyFor(const VoteMsg& vote) {
-  if (canonical_memo_.size() >= kCanonicalMemoMax) canonical_memo_.clear();
-  auto key = std::make_tuple(static_cast<uint8_t>(vote.type), vote.view,
-                             vote.seq);
-  auto it = canonical_memo_.find(key);
-  if (it != canonical_memo_.end() && it->second.digest == vote.digest) {
-    hotpath_stats().encodes_elided++;
-    return it->second.body;
-  }
-  // Miss (or a vote for the same slot with a different digest, e.g. a
-  // byzantine bogus-digest vote): encode and (re)install.
-  CanonicalMemoEntry entry{vote.digest, vote.CanonicalBody()};
-  return (canonical_memo_[key] = std::move(entry)).body;
-}
-
 Signature PbftReplica::Sign(const Bytes& canonical) const {
   if (!config_.sign_messages) return Signature{self_, {}};
   return signer_->Sign(canonical);
+}
+
+Signature PbftReplica::SignVote(const VoteMsg& vote) const {
+  if (!config_.sign_messages) return Signature{self_, {}};
+  hotpath_stats().encodes_elided++;
+  const VoteMsg::CanonicalBytes body = vote.CanonicalBody();
+  return signer_->Sign(body.data(), body.size());
 }
 
 bool PbftReplica::VerifySig(const Bytes& canonical,
@@ -175,10 +167,16 @@ bool PbftReplica::VerifySig(const Bytes& canonical,
   return keys_->Verify(canonical, sig);
 }
 
-bool PbftReplica::VerifySigPure(const Bytes& canonical,
-                                const Signature& sig) const {
-  if (!config_.sign_messages) return true;
-  return keys_->VerifyDetached(canonical, sig);
+int PbftReplica::ValidSigners(const Bytes& body,
+                              const std::vector<Signature>& sigs,
+                              net::NodeId excluded) const {
+  std::set<int32_t> valid;
+  for (const Signature& sig : sigs) {
+    const int index = config_.ReplicaIndex(sig.signer);
+    if (index < 0 || sig.signer == excluded) continue;
+    if (keys_->Verify(body, sig)) valid.insert(index);
+  }
+  return static_cast<int>(valid.size());
 }
 
 bool PbftReplica::RunVerifier(const Bytes& value, const Digest* digest) const {
@@ -418,27 +416,25 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
 // --- three-phase protocol -----------------------------------------------------
 
 common::Runner::Prologue PbftReplica::ProloguePrePrepare(net::Message msg) {
-  return [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
-    // Pure stage: decode, leader-of-view, signature, and payload-digest
-    // checks read only the captured message, the immutable config, and the
-    // registered key material. On a serial runner the cached VerifySig path
-    // is safe (single thread) and keeps the verify-once cache warm exactly
-    // as the seed did; threaded prologues take the detached path and leave
-    // counters/caches to epilogues (BP007 discipline).
-    auto pp = std::make_shared<PrePrepareMsg>();
-    if (!PrePrepareMsg::Decode(msg.body(), pp.get()).ok()) return nullptr;
-    if (msg.src != config_.LeaderOf(pp->view)) return nullptr;
-    const bool sig_ok = runner_->serial()
-                            ? VerifySig(pp->CanonicalHeader(), pp->sig)
-                            : VerifySigPure(pp->CanonicalHeader(), pp->sig);
-    if (!sig_ok) return nullptr;
-    if (pp->sig.signer != msg.src) return nullptr;
-    if (ComputeDigest(pp->value) != pp->digest) return nullptr;
-    const uint64_t trace_id = msg.trace_id;
-    return [this, pp, trace_id]() {
-      OnPrePrepareVerified(std::move(*pp), trace_id);
+  auto prologue = [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
+    // Pure stage: decode, leader, signer and payload-digest checks. The
+    // epilogue checks the signature through the verify-once cache, so
+    // every runner takes one path with one accounting (DESIGN.md §12).
+    PrePrepareMsg pp;
+    if (!PrePrepareMsg::Decode(msg.body(), &pp).ok()) return nullptr;
+    if (msg.src != config_.LeaderOf(pp.view)) return nullptr;
+    if (pp.sig.signer != msg.src) return nullptr;
+    if (ComputeDigest(pp.value) != pp.digest) return nullptr;
+    auto epilogue = [this, pp = std::move(pp),
+                     trace_id = msg.trace_id]() mutable {
+      if (!VerifySig(pp.CanonicalHeader(), pp.sig)) return;
+      OnPrePrepareVerified(std::move(pp), trace_id);
     };
+    static_assert(common::Runner::Epilogue::kFitsInline<decltype(epilogue)>);
+    return epilogue;
   };
+  static_assert(common::Runner::Prologue::kFitsInline<decltype(prologue)>);
+  return prologue;
 }
 
 void PbftReplica::OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id) {
@@ -486,7 +482,7 @@ void PbftReplica::OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id) {
   if (byzantine_ == ByzantineMode::kBogusVotes) {
     prepare.digest[0] ^= 0xff;
   }
-  prepare.sig = Sign(CanonicalBodyFor(prepare));
+  prepare.sig = SignVote(prepare);
   instance.sent_prepare = true;
   instance.prepares[index_] = {prepare.digest, prepare.sig};  // own vote
   Broadcast(kPrepare, prepare.Encode(), instance.trace_id);
@@ -494,33 +490,40 @@ void PbftReplica::OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id) {
 }
 
 common::Runner::Prologue PbftReplica::PrologueVote(net::Message msg) {
-  return [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
-    // Pure stage for both vote types: decode, membership, leaders-don't-
-    // prepare, and the signature check. The canonical-body memo is only
-    // consulted on a serial runner (single thread); threaded prologues
-    // re-encode — pure, at worker-thread prices — and verify detached.
-    auto vote = std::make_shared<VoteMsg>();
+  auto prologue = [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
+    // Pure stage for both vote types and both runners: decode, membership,
+    // leaders-don't-prepare, and the MAC over the canonical body, built on
+    // the stack and verified detached, with no cache probe (DESIGN.md §7).
+    VoteMsg vote;
     const PbftMessageType type = msg.type == kPrepare ? kPrepare : kCommit;
-    if (!VoteMsg::Decode(type, msg.body(), vote.get()).ok()) return nullptr;
+    if (!VoteMsg::Decode(type, msg.body(), &vote).ok()) return nullptr;
     const int sender = config_.ReplicaIndex(msg.src);
     if (sender < 0) return nullptr;
-    if (type == kPrepare && msg.src == config_.LeaderOf(vote->view)) {
+    if (type == kPrepare && msg.src == config_.LeaderOf(vote.view)) {
       return nullptr;  // leaders don't prepare
     }
-    const bool sig_ok =
-        runner_->serial()
-            ? VerifySig(CanonicalBodyFor(*vote), vote->sig)
-            : VerifySigPure(vote->CanonicalBody(), vote->sig);
-    if (!sig_ok) return nullptr;
-    if (vote->sig.signer != msg.src) return nullptr;
-    const uint64_t trace_id = msg.trace_id;
-    return [this, vote, sender, trace_id]() {
-      OnVoteVerified(std::move(*vote), sender, trace_id);
+    if (vote.sig.signer != msg.src) return nullptr;
+    if (config_.sign_messages) {
+      const VoteMsg::CanonicalBytes body = vote.CanonicalBody();
+      if (!keys_->VerifyDetached(body.data(), body.size(), vote.sig)) {
+        return nullptr;
+      }
+    }
+    auto epilogue = [this, vote, sender, trace_id = msg.trace_id] {
+      if (config_.sign_messages) {  // the prologue's in-place MAC
+        hotpath_stats().hmac_precomputed_ops++;
+        hotpath_stats().encodes_elided++;
+      }
+      OnVoteVerified(vote, sender, trace_id);
     };
+    static_assert(common::Runner::Epilogue::kFitsInline<decltype(epilogue)>);
+    return epilogue;
   };
+  static_assert(common::Runner::Prologue::kFitsInline<decltype(prologue)>);
+  return prologue;
 }
 
-void PbftReplica::OnVoteVerified(VoteMsg vote, int sender,
+void PbftReplica::OnVoteVerified(const VoteMsg& vote, int sender,
                                  uint64_t trace_id) {
   if (vote.view != view_ || in_view_change_) return;
   if (vote.seq <= last_stable_) return;
@@ -582,7 +585,7 @@ void PbftReplica::SendCommitVote(uint64_t seq) {
   if (byzantine_ == ByzantineMode::kBogusVotes) {
     commit.digest[1] ^= 0xff;
   }
-  commit.sig = Sign(CanonicalBodyFor(commit));
+  commit.sig = SignVote(commit);
   instance.sent_commit = true;
   instance.commit_view = instance.view;
   instance.commits[index_] = {instance.digest, commit.sig};
@@ -791,14 +794,11 @@ void PbftReplica::OnCommittedEntry(const net::Message& msg) {
     commit.view = entry.view;
     commit.seq = entry.seq;
     commit.digest = entry.digest;
-    Bytes body = commit.CanonicalBody();
-    std::set<int32_t> valid;
-    for (const Signature& sig : entry.commit_sigs) {
-      if (config_.ReplicaIndex(sig.signer) < 0) continue;
-      if (!keys_->Verify(body, sig)) continue;
-      valid.insert(config_.ReplicaIndex(sig.signer));
+    const VoteMsg::CanonicalBytes body = commit.CanonicalBody();
+    if (ValidSigners(Bytes(body.begin(), body.end()), entry.commit_sigs) <
+        config_.quorum()) {
+      return;
     }
-    if (static_cast<int>(valid.size()) < config_.quorum()) return;
   }
 
   Instance& instance = instances_[entry.seq];
@@ -835,14 +835,9 @@ void PbftReplica::OnSnapshot(const net::Message& msg) {
     CheckpointMsg cp;
     cp.seq = snapshot.seq;
     cp.state_digest = snapshot.state_digest;
-    Bytes body = cp.CanonicalBody();
-    std::set<int32_t> valid;
-    for (const Signature& sig : snapshot.cert) {
-      if (config_.ReplicaIndex(sig.signer) < 0) continue;
-      if (!keys_->Verify(body, sig)) continue;
-      valid.insert(config_.ReplicaIndex(sig.signer));
+    if (ValidSigners(cp.CanonicalBody(), snapshot.cert) < config_.quorum()) {
+      return;
     }
-    if (static_cast<int>(valid.size()) < config_.quorum()) return;
   }
   if (snapshot_callback_) {
     // The application fetches + verifies the log contents, then installs.
@@ -1071,15 +1066,9 @@ bool PbftReplica::ValidatePreparedProof(const PreparedProof& proof) const {
   vote.view = proof.view;
   vote.seq = proof.seq;
   vote.digest = proof.digest;
-  Bytes body = vote.CanonicalBody();
-  std::set<int32_t> valid;
-  for (const Signature& sig : proof.prepare_sigs) {
-    if (config_.ReplicaIndex(sig.signer) < 0) continue;
-    if (sig.signer == config_.LeaderOf(proof.view)) continue;
-    if (!keys_->Verify(body, sig)) continue;
-    valid.insert(config_.ReplicaIndex(sig.signer));
-  }
-  return static_cast<int>(valid.size()) >= 2 * config_.f;
+  const VoteMsg::CanonicalBytes body = vote.CanonicalBody();
+  return ValidSigners(Bytes(body.begin(), body.end()), proof.prepare_sigs,
+                      config_.LeaderOf(proof.view)) >= 2 * config_.f;
 }
 
 void PbftReplica::OnNewView(const net::Message& msg) {

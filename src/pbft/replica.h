@@ -22,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <tuple>
 #include <unordered_map>
 
 #include "common/runner.h"
@@ -206,10 +205,7 @@ class PbftReplica : public net::Host {
   common::Runner::Prologue PrologueVote(net::Message msg);
   /// Epilogue halves: the state-touching remainder of the old handlers.
   void OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id);
-  void OnVoteVerified(VoteMsg vote, int sender, uint64_t trace_id);
-  /// Worker-thread-safe signature check for threaded prologues: skips the
-  /// verify-once cache and its counters (KeyStore::VerifyDetached).
-  bool VerifySigPure(const Bytes& canonical, const Signature& sig) const;
+  void OnVoteVerified(const VoteMsg& vote, int sender, uint64_t trace_id);
 
   // -- leader logic --
   void MaybeProposeNext();
@@ -272,13 +268,14 @@ class PbftReplica : public net::Host {
   /// verbatim request forwarding).
   void SendShared(net::NodeId dst, net::MessageType type,
                   net::PayloadPtr payload, uint64_t trace_id = 0);
-  /// Canonical body for `vote`, memoized per (type, view, seq): the 2f+1
-  /// votes of one instance share a single encode instead of re-encoding
-  /// identical bytes per vote. Entries whose digest differs (byzantine
-  /// bogus-digest votes) bypass the memo.
-  const Bytes& CanonicalBodyFor(const VoteMsg& vote);
   Signature Sign(const Bytes& canonical) const;
+  /// Signs the vote's canonical body, hashed in place.
+  Signature SignVote(const VoteMsg& vote) const;
   bool VerifySig(const Bytes& canonical, const Signature& sig) const;
+  /// Distinct group members other than `excluded` with a valid signature
+  /// over `body` in `sigs` (a certificate's weight).
+  int ValidSigners(const Bytes& body, const std::vector<Signature>& sigs,
+                   net::NodeId excluded = {}) const;
   bool RunVerifier(const Bytes& value, const Digest* digest) const;
 
   net::Network* network_;
@@ -367,18 +364,6 @@ class PbftReplica : public net::Host {
   /// After a view change: the digest each carried-over seq must have in the
   /// current view. Pre-prepares for these seqs are accepted only on match.
   std::map<uint64_t, Digest> expected_digests_;
-
-  /// Memo for CanonicalBodyFor: (vote type, view, seq) -> (digest, encoded
-  /// canonical body). Bounded: cleared wholesale past kCanonicalMemoMax
-  /// entries (deterministic, and instances churn fast enough that a full
-  /// reset is cheap).
-  struct CanonicalMemoEntry {
-    Digest digest{};
-    Bytes body;
-  };
-  static constexpr size_t kCanonicalMemoMax = 4096;
-  std::map<std::tuple<uint8_t, uint64_t, uint64_t>, CanonicalMemoEntry>
-      canonical_memo_;
 };
 
 }  // namespace blockplane::pbft

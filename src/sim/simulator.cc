@@ -65,23 +65,28 @@ void Simulator::Cancel(EventId id) {
   // The heap key stays queued and is skipped when it pops.
 }
 
-bool Simulator::Step() {
-  while (!queue_.empty()) {
-    const Key key = queue_.top();
+bool Simulator::SkipCancelled() {
+  while (!queue_.empty() &&
+         slots_[queue_.top().id & kSlotMask].id != queue_.top().id) {
     queue_.pop();
-    const uint32_t slot = static_cast<uint32_t>(key.id & kSlotMask);
-    if (slots_[slot].id != key.id) continue;  // cancelled
-    // Move the callback out before running it: it may schedule events,
-    // which can reuse this slot or grow (and relocate) the slot vector.
-    EventFn fn = std::move(slots_[slot].fn);
-    Release(slot);
-    BP_CHECK(key.when >= now_);
-    now_ = key.when;
-    ++processed_;
-    fn();
-    return true;
   }
-  return false;
+  return !queue_.empty();
+}
+
+bool Simulator::Step() {
+  if (!SkipCancelled()) return false;
+  const Key key = queue_.top();
+  queue_.pop();
+  const uint32_t slot = static_cast<uint32_t>(key.id & kSlotMask);
+  // Move the callback out before running it: it may schedule events,
+  // which can reuse this slot or grow (and relocate) the slot vector.
+  EventFn fn = std::move(slots_[slot].fn);
+  Release(slot);
+  BP_CHECK(key.when >= now_);
+  now_ = key.when;
+  ++processed_;
+  fn();
+  return true;
 }
 
 SimTime Simulator::Run() {
@@ -91,21 +96,17 @@ SimTime Simulator::Run() {
 }
 
 bool Simulator::RunUntil(SimTime deadline) {
-  while (!queue_.empty()) {
-    if (queue_.top().when > deadline) {
-      now_ = deadline;
-      return false;
-    }
-    Step();
-  }
+  // The deadline test reads the earliest *live* event: a cancelled key at
+  // the top must not let a later event run past the deadline.
+  while (SkipCancelled() && queue_.top().when <= deadline) Step();
   if (now_ < deadline) now_ = deadline;
-  return true;
+  return !SkipCancelled();
 }
 
 bool Simulator::RunUntilCondition(const std::function<bool()>& pred,
                                   SimTime deadline) {
   if (pred()) return true;
-  while (!queue_.empty() && queue_.top().when <= deadline) {
+  while (SkipCancelled() && queue_.top().when <= deadline) {
     Step();
     if (pred()) return true;
   }

@@ -12,12 +12,15 @@
 #include <queue>
 #include <vector>
 
+#include "common/inline_fn.h"
 #include "common/macros.h"
-#include "sim/event_fn.h"
 #include "sim/random.h"
 #include "sim/sim_time.h"
 
 namespace blockplane::sim {
+
+/// The callable an event carries; 64 inline bytes hold `this` + a Message.
+using EventFn = common::InlineFn<void, 64>;
 
 /// Handle for a scheduled event; used to cancel timers. The low bits name
 /// the callback slot the event occupies, the high bits its issue number,
@@ -48,7 +51,8 @@ class Simulator {
   /// Runs until the event queue drains. Returns the final virtual time.
   SimTime Run();
 
-  /// Runs events with time <= deadline. Returns true if the queue drained.
+  /// Runs events with time <= deadline, then advances the clock to the
+  /// deadline (never backwards). Returns true if no live event remains.
   bool RunUntil(SimTime deadline);
 
   /// Runs for `duration` of virtual time from now.
@@ -91,7 +95,10 @@ class Simulator {
   static constexpr int kSlotBits = 24;
   static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
 
-  /// Pops and runs one event. Returns false if the queue is empty.
+  /// Pops the keys of cancelled events off the top of the heap. Returns
+  /// true when a live event is then at the top.
+  bool SkipCancelled();
+  /// Pops and runs one event. Returns false if no live event remains.
   bool Step();
   /// Returns a slot to the free list and drops its event from the count.
   void Release(uint32_t slot);

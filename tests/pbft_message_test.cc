@@ -94,7 +94,90 @@ TEST(PbftMessageTest, CanonicalBodiesDifferAcrossTypes) {
   prepare.view = 2;  // overlaps checkpoint.seq position
   prepare.seq = 2;
   prepare.digest = TestDigest(0x11);
-  EXPECT_NE(checkpoint.CanonicalBody(), prepare.CanonicalBody());
+  const VoteMsg::CanonicalBytes vote_body = prepare.CanonicalBody();
+  EXPECT_NE(checkpoint.CanonicalBody(),
+            Bytes(vote_body.begin(), vote_body.end()));
+}
+
+TEST(PbftMessageTest, VoteCanonicalBodyMatchesHandBuiltLayout) {
+  // type tag (1) | view (8, little-endian) | seq (8, little-endian) |
+  // digest (32), including the all-ones maximum of view and seq.
+  for (uint64_t view : {uint64_t{0}, uint64_t{0x0102030405060708},
+                        ~uint64_t{0}}) {
+    for (uint64_t seq : {uint64_t{1}, uint64_t{0x8877665544332211},
+                         ~uint64_t{0}}) {
+      for (PbftMessageType type : {kPrepare, kCommit}) {
+        VoteMsg vote;
+        vote.type = type;
+        vote.view = view;
+        vote.seq = seq;
+        for (size_t i = 0; i < vote.digest.size(); ++i) {
+          vote.digest[i] = static_cast<uint8_t>(0xA0 + i);
+        }
+        Bytes expected = {static_cast<uint8_t>(type)};
+        for (int i = 0; i < 8; ++i) {
+          expected.push_back(static_cast<uint8_t>(view >> (8 * i)));
+        }
+        for (int i = 0; i < 8; ++i) {
+          expected.push_back(static_cast<uint8_t>(seq >> (8 * i)));
+        }
+        expected.insert(expected.end(), vote.digest.begin(),
+                        vote.digest.end());
+        ASSERT_EQ(expected.size(), VoteMsg::kCanonicalSize);
+        const VoteMsg::CanonicalBytes body = vote.CanonicalBody();
+        EXPECT_EQ(Bytes(body.begin(), body.end()), expected)
+            << "view " << view << " seq " << seq << " type " << type;
+      }
+    }
+  }
+}
+
+TEST(PbftMessageTest, VoteSignedOverAnEncoderBuiltBodyStillVerifies) {
+  // Votes used to be signed over a heap buffer built with Encoder; the
+  // in-place body must yield the same MAC, so either side of an upgrade
+  // accepts the other's votes.
+  crypto::KeyStore keys;
+  auto signer = keys.RegisterNode({0, 2});
+  VoteMsg vote;
+  vote.type = kCommit;
+  vote.view = 7;
+  vote.seq = ~uint64_t{0};
+  vote.digest = TestDigest(0x5c);
+  Encoder enc;
+  enc.PutU8(static_cast<uint8_t>(vote.type));
+  enc.PutU64(vote.view);
+  enc.PutU64(vote.seq);
+  enc.PutRaw(vote.digest.data(), vote.digest.size());
+  vote.sig = signer->Sign(enc.buffer());
+
+  const VoteMsg::CanonicalBytes body = vote.CanonicalBody();
+  EXPECT_TRUE(keys.VerifyDetached(body.data(), body.size(), vote.sig));
+  EXPECT_EQ(signer->Sign(body.data(), body.size()), vote.sig);
+  vote.type = kPrepare;  // the type tag is covered
+  const VoteMsg::CanonicalBytes prepare_body = vote.CanonicalBody();
+  EXPECT_FALSE(
+      keys.VerifyDetached(prepare_body.data(), prepare_body.size(), vote.sig));
+}
+
+TEST(PbftMessageTest, VoteTruncatedAtEveryOffsetIsCorruption) {
+  VoteMsg vote;
+  vote.type = kPrepare;
+  vote.view = 3;
+  vote.seq = 9;
+  vote.digest = TestDigest(0x42);
+  vote.sig = TestSig({0, 1}, 0x24);
+  const Bytes full = vote.Encode();
+  ASSERT_EQ(full.size(), 8u + 8u + 32u + 8u + 32u);
+  for (size_t len = 0; len < full.size(); ++len) {
+    VoteMsg out;
+    const Bytes cut(full.begin(), full.begin() + static_cast<long>(len));
+    EXPECT_TRUE(VoteMsg::Decode(kPrepare, cut, &out).IsCorruption())
+        << "length " << len;
+  }
+  VoteMsg out;
+  ASSERT_TRUE(VoteMsg::Decode(kPrepare, full, &out).ok());
+  EXPECT_EQ(out.digest, vote.digest);
+  EXPECT_EQ(out.sig, vote.sig);
 }
 
 TEST(PbftMessageTest, ViewChangeWithProofsRoundTrip) {

@@ -44,6 +44,46 @@ TEST(QuorumCertTest, CodecRoundTripsEveryField) {
   EXPECT_EQ(back.signer_count(), 3);
 }
 
+TEST(QuorumCertTest, CertAndSignatureTruncatedAtEveryOffsetAreCorruption) {
+  QuorumCert cert;
+  cert.site = 1;
+  cert.index_base = 4;
+  cert.signer_bits = 0b111;
+  cert.agg.fill(0x3c);
+  Signature sig;
+  sig.signer = {2, 3};
+  sig.mac.fill(0xc3);
+
+  Encoder cert_enc;
+  cert.EncodeTo(&cert_enc);
+  const Bytes cert_bytes = cert_enc.Take();
+  Encoder sig_enc;
+  EncodeSignature(&sig_enc, sig);
+  const Bytes sig_bytes = sig_enc.Take();
+  ASSERT_EQ(sig_bytes.size(), 40u);
+  for (size_t len = 0; len < cert_bytes.size(); ++len) {
+    Decoder dec(cert_bytes.data(), len);
+    QuorumCert out;
+    EXPECT_TRUE(out.DecodeFrom(&dec).IsCorruption()) << "length " << len;
+  }
+  for (size_t len = 0; len < sig_bytes.size(); ++len) {
+    Decoder dec(sig_bytes.data(), len);
+    Signature out;
+    EXPECT_TRUE(DecodeSignature(&dec, &out).IsCorruption())
+        << "length " << len;
+  }
+  Decoder cert_dec(cert_bytes);
+  QuorumCert cert_back;
+  ASSERT_TRUE(cert_back.DecodeFrom(&cert_dec).ok());
+  EXPECT_EQ(cert_back, cert);
+  EXPECT_TRUE(cert_dec.AtEnd());
+  Decoder sig_dec(sig_bytes);
+  Signature sig_back;
+  ASSERT_TRUE(DecodeSignature(&sig_dec, &sig_back).ok());
+  EXPECT_EQ(sig_back, sig);
+  EXPECT_TRUE(sig_dec.AtEnd());
+}
+
 TEST(QuorumCertTest, CertListRoundTripsAndRejectsOversizedCount) {
   QuorumCert a;
   a.site = 0;

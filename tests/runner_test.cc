@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +57,100 @@ TEST(InlineRunnerTest, NullEpilogueCountsAsDropped) {
   runner.RunPrologue([]() -> Runner::Epilogue { return nullptr; });
   EXPECT_EQ(runner_stats().prologues_dropped, 1);
   EXPECT_EQ(runner_stats().epilogues_retired, 1);
+}
+
+/// A capture too large for any Runner closure's inline buffer that counts
+/// its runs and destructions (moved-from husks do not count).
+struct LargeCapture {
+  LargeCapture(int* runs, int* destroyed) : runs_(runs), destroyed_(destroyed) {}
+  LargeCapture(LargeCapture&& other) noexcept
+      : pad_(other.pad_), runs_(other.runs_), destroyed_(other.destroyed_) {
+    other.destroyed_ = nullptr;
+  }
+  LargeCapture(const LargeCapture&) = delete;
+  ~LargeCapture() {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+  void operator()() { ++*runs_; }
+
+ private:
+  std::array<char, 2 * Runner::Epilogue::kInlineSize> pad_{};
+  int* runs_;
+  int* destroyed_;
+};
+static_assert(!Runner::Epilogue::kFitsInline<LargeCapture>);
+
+TEST(InlineFnTest, MoveOnlyCapturesRideBothRunners) {
+  InlineRunner inline_runner;
+  ThreadPoolRunner pool({/*workers=*/2, /*queue_capacity=*/8, false});
+  for (Runner* runner : {static_cast<Runner*>(&inline_runner),
+                         static_cast<Runner*>(&pool)}) {
+    std::vector<int> seen;
+    for (int i = 0; i < 16; ++i) {
+      auto owned = std::make_unique<int>(i);
+      runner->RunPrologue(
+          [&seen, p = std::move(owned)]() mutable -> Runner::Epilogue {
+            *p *= 10;  // prologue work on the captured value
+            return [&seen, q = std::move(p)] { seen.push_back(*q); };
+          });
+    }
+    runner->Drain();
+    std::vector<int> expected;
+    for (int i = 0; i < 16; ++i) expected.push_back(i * 10);
+    EXPECT_EQ(seen, expected) << "workers " << runner->workers();
+  }
+}
+
+TEST(InlineFnTest, HeapFallbackCaptureIsDestroyedExactlyOnce) {
+  int runs = 0;
+  int ran_destroyed = 0;
+  int dropped_destroyed = 0;
+  {
+    Runner::Epilogue a = LargeCapture(&runs, &ran_destroyed);
+    Runner::Epilogue b = std::move(a);  // relocates the heap pointer
+    EXPECT_FALSE(a);
+    ASSERT_TRUE(b);
+    b();
+    Runner::Epilogue c;
+    c = std::move(b);
+    c();
+    Runner::Epilogue d = LargeCapture(&runs, &dropped_destroyed);
+    d = std::move(c);  // destroys d's own capture, takes c's
+    EXPECT_EQ(dropped_destroyed, 1);
+    EXPECT_EQ(ran_destroyed, 0);
+    d = nullptr;
+    EXPECT_EQ(ran_destroyed, 1);
+  }
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(ran_destroyed, 1);
+  EXPECT_EQ(dropped_destroyed, 1);
+
+  // Through a runner: the epilogue runs once and dies once.
+  InlineRunner runner;
+  int via_runner = 0;
+  runner.RunPrologue([&runs, &via_runner]() -> Runner::Epilogue {
+    return LargeCapture(&runs, &via_runner);
+  });
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(via_runner, 1);
+}
+
+TEST(ThreadPoolRunnerTest, NullEpilogueCountsAsDropped) {
+  runner_stats().Reset();
+  {
+    ThreadPoolRunner pool({/*workers=*/2, /*queue_capacity=*/8, false});
+    int retired = 0;
+    for (int i = 0; i < 6; ++i) {
+      pool.RunPrologue([&retired, i]() -> Runner::Epilogue {
+        if (i % 2 == 0) return nullptr;
+        return [&retired] { ++retired; };
+      });
+    }
+    pool.Drain();
+    EXPECT_EQ(retired, 3);
+  }
+  EXPECT_EQ(runner_stats().prologues_dropped, 3);
+  EXPECT_EQ(runner_stats().epilogues_retired, 6);
 }
 
 TEST(InlineRunnerTest, DefaultRunnerIsSerial) {

@@ -86,6 +86,58 @@ TEST(SimulatorTest, RunUntilAdvancesClockWhenQueueDrains) {
   EXPECT_EQ(simulator.Now(), Milliseconds(50));
 }
 
+/// Events at 1 ms, 2 ms (cancelled) and 10 s; each callback checks that the
+/// clock never went backwards and logs its firing time.
+struct CancelledTopFixture {
+  Simulator simulator;
+  std::vector<SimTime> fired;
+
+  CancelledTopFixture() {
+    for (SimTime when : {Milliseconds(1), Milliseconds(2), Seconds(10)}) {
+      EventId id = simulator.Schedule(when, [this] {
+        if (!fired.empty()) {
+          EXPECT_GE(simulator.Now(), fired.back());
+        }
+        fired.push_back(simulator.Now());
+      });
+      if (when == Milliseconds(2)) simulator.Cancel(id);
+    }
+  }
+};
+
+TEST(SimulatorTest, RunUntilStopsAtDeadlineBehindCancelledTop) {
+  CancelledTopFixture f;
+  EXPECT_FALSE(f.simulator.RunUntil(Seconds(1)));
+  EXPECT_EQ(f.fired, (std::vector<SimTime>{Milliseconds(1)}));
+  EXPECT_EQ(f.simulator.Now(), Seconds(1));
+  EXPECT_TRUE(f.simulator.RunUntil(Seconds(20)));
+  EXPECT_EQ(f.fired, (std::vector<SimTime>{Milliseconds(1), Seconds(10)}));
+  EXPECT_EQ(f.simulator.Now(), Seconds(20));
+  // An earlier deadline never moves the clock back.
+  EXPECT_TRUE(f.simulator.RunUntil(Seconds(5)));
+  EXPECT_EQ(f.simulator.Now(), Seconds(20));
+}
+
+TEST(SimulatorTest, RunUntilConditionStopsAtDeadlineBehindCancelledTop) {
+  CancelledTopFixture f;
+  EXPECT_FALSE(f.simulator.RunUntilCondition(
+      [&f] { return f.fired.size() >= 2; }, Seconds(1)));
+  EXPECT_EQ(f.fired, (std::vector<SimTime>{Milliseconds(1)}));
+  EXPECT_EQ(f.simulator.Now(), Milliseconds(1));
+  EXPECT_TRUE(f.simulator.RunUntilCondition(
+      [&f] { return f.fired.size() >= 2; }, Seconds(20)));
+  EXPECT_EQ(f.simulator.Now(), Seconds(10));
+}
+
+TEST(SimulatorTest, RunUntilIsDrainedWhenOnlyCancelledEventsRemain) {
+  Simulator simulator;
+  EventId id = simulator.Schedule(Seconds(5), [] { FAIL(); });
+  simulator.Cancel(id);
+  EXPECT_TRUE(simulator.RunUntil(Seconds(1)));
+  EXPECT_EQ(simulator.Now(), Seconds(1));
+  EXPECT_EQ(simulator.pending_events(), 0u);
+}
+
 TEST(SimulatorTest, RunUntilCondition) {
   Simulator simulator;
   int count = 0;
