@@ -226,14 +226,14 @@ void BM_LocalCommitEndToEnd(benchmark::State& state) {
 BENCHMARK(BM_LocalCommitEndToEnd);
 
 void BM_PbftVoteReceive(benchmark::State& state) {
-  // One PBFT vote received, checked and retired through the InlineRunner:
-  // decode, MAC over the canonical body, and the epilogue that files it
-  // into its instance. Each prepare from replica 1 reaches the other three
-  // replicas, which share one KeyStore as a simulated unit does, and every
-  // vote is distinct so no verdict carries over between batches. The
-  // replicas (and the simulator holding their progress timers) are torn
-  // down and rebuilt outside the timing every kBatch votes, so instance
-  // state stays bounded.
+  // One PBFT vote received, checked and applied: decode, MAC over the
+  // canonical body, and the state update that files it into its instance.
+  // Each prepare from replica 1 reaches the other three replicas, which
+  // share one KeyStore as a simulated unit does, and every vote is
+  // distinct so no verdict carries over between batches. The replicas
+  // (and the simulator holding their progress timers) are torn down and
+  // rebuilt outside the timing every kBatch votes, so instance state stays
+  // bounded.
   constexpr int kBatch = 256;
   const pbft::PbftConfig config = pbft::UnitConfig(/*site=*/0, /*f=*/1);
   crypto::KeyStore keys;
@@ -243,7 +243,7 @@ void BM_PbftVoteReceive(benchmark::State& state) {
   std::unique_ptr<net::Network> network;
   std::vector<std::unique_ptr<pbft::PbftReplica>> receivers;
   std::vector<net::Message> votes(kBatch);
-  runner_stats().Reset();
+  robustness_stats().Reset();
   for (auto _ : state) {
     state.PauseTiming();
     receivers.clear();
@@ -274,7 +274,7 @@ void BM_PbftVoteReceive(benchmark::State& state) {
       for (auto& receiver : receivers) receiver->HandleMessage(msg);
     }
   }
-  if (runner_stats().prologues_dropped != 0) {
+  if (robustness_stats().msgs_rejected != 0) {
     state.SkipWithError("a genuine vote was dropped");
   }
   // Reported per received vote.

@@ -5,7 +5,7 @@ that yields Diagnostic objects. Diagnostics are deduplicated and sorted
 by the engine, so rules are free to emit in any order.
 
 Since v2 the Project carries a call graph (callgraph.py), and the
-reachability rules are interprocedural: BP002, BP005, and BP007 flag a
+reachability rules are interprocedural: BP002 and BP005 flag a
 forbidden sink reached through ANY chain of project helpers, with the
 witness chain spelled out in the diagnostic. The flow-sensitive family
 BP008-BP011 targets the concurrency/error-handling bug classes this
@@ -33,12 +33,6 @@ Rule catalog (see DESIGN.md sections 11 and 15 for the rationale):
          kTracePhases catalog (and vice versa), and every
          CongestionGauge key is in the kCongestionGaugeKeys catalog
          (and vice versa).
-  BP007  mutable static / un-mutexed namespace-scope state in files on
-         a Runner prologue path (RunPrologue / SignBatch / VerifyBatch /
-         VerifyDetached, or `bplint:runner-prologue-path`): prologues
-         run on worker threads, so such state is a data race. v2 also
-         grows the file set transitively: a file whose functions are
-         reachable from a prologue-context lambda joins the scope.
   BP008  discarded Status/StatusOr results in src/: an unchecked error
          is a silent failure (the PR 2 transport-drop bug class).
   BP009  lock-scope discipline in code that uses lock_guard/unique_lock:
@@ -66,8 +60,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from callgraph import CallGraph, Key, key_str, render_chain
 from cppmodel import (CallSite, Enum, FileFacts, FunctionDef, Struct, Tok,
-                      _NON_FN_IDS, _collect_worker_calls, _lambda_body_span,
-                      match_balanced, match_template, schedule_sites)
+                      _NON_FN_IDS, _lambda_body_span, match_balanced,
+                      match_template, schedule_sites)
 
 RULE_DESCRIPTIONS = [
     ("BP001", "unordered-container iteration order escapes into an "
@@ -83,9 +77,6 @@ RULE_DESCRIPTIONS = [
     ("BP006", "metrics counter not registered with MetricsRegistry, "
               "trace phase mark outside the kTracePhases catalog, or "
               "congestion gauge key outside kCongestionGaugeKeys"),
-    ("BP007", "mutable static or un-mutexed namespace-scope state in a "
-              "file on a Runner prologue path (worker threads may race "
-              "on it)"),
     ("BP008", "Status/StatusOr result silently discarded in src/ "
               "(an unchecked error is a silent failure)"),
     ("BP009", "callback, Send, or Drain reachable — directly or through "
@@ -148,7 +139,6 @@ class Project:
         # interprocedural rules consult.
         self.graph = CallGraph(self.files)
         self.cancel_args: Set[str] = set()
-        self.prologue_roots: Set[str] = set()
         # A name is Status-returning only when every known signature
         # (definition or prototype) with that name agrees — a single
         # void/bool overload disqualifies it, so a statement-position
@@ -157,7 +147,6 @@ class Project:
         status_no: Set[str] = set()
         for f in self.files:
             self.cancel_args |= f.cancel_args
-            self.prologue_roots |= f.prologue_roots
             for fn in f.fn_defs:
                 _note_status(status_yes, status_no, fn.name, fn.ret)
             for decl in f.fn_decls:
@@ -608,207 +597,6 @@ def rule_bp006(project: Project) -> Iterable[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# BP007
-# ---------------------------------------------------------------------------
-
-# A file is "on a prologue path" when it mentions the Runner seam's entry
-# points (its prologues run on ThreadPoolRunner workers) or carries the
-# explicit marker. Everything else keeps the single-threaded-simulator
-# freedom to use mutable statics.
-_BP007_TRIGGERS = {"RunPrologue", "RunBatch", "SignBatch", "VerifyBatch",
-                   "VerifyDetached", "SignDetached"}
-# Qualifiers that make a static/global safe for concurrent prologues.
-_BP007_IMMUTABLE = {"const", "constexpr", "constinit", "thread_local"}
-# Types that synchronize themselves (or are synchronization primitives).
-_BP007_SYNC = {"atomic", "atomic_flag", "atomic_bool", "atomic_int",
-               "mutex", "shared_mutex", "recursive_mutex", "timed_mutex",
-               "once_flag", "condition_variable", "condition_variable_any"}
-_BP007_STMT_SKIP_HEADS = {
-    "using", "typedef", "namespace", "template", "extern", "friend",
-    "static", "static_assert", "struct", "class", "enum", "union",
-    "return", "if", "for", "while", "switch", "case", "default", "do",
-    "else", "break", "continue", "goto", "public", "private", "protected",
-    "operator", "BP_DISALLOW_COPY_AND_ASSIGN",
-}
-
-
-def _bp007_in_scope(f: FileFacts) -> bool:
-    if "runner-prologue-path" in f.markers:
-        return True
-    return any(t.kind == "id" and t.text in _BP007_TRIGGERS
-               for t in f.tokens)
-
-
-def _bp007_statics(f: FileFacts) -> Iterable[Diagnostic]:
-    """Mutable `static` declarations (function-local or namespace-scope)."""
-    toks = f.tokens
-    n = len(toks)
-    for i, t in enumerate(toks):
-        if t.kind != "id" or t.text != "static":
-            continue
-        stmt: List[Tok] = []
-        j = i + 1
-        while j < n and toks[j].text not in (";", "{", "}") and \
-                len(stmt) < 64:
-            stmt.append(toks[j])
-            j += 1
-        if j >= n or toks[j].text != ";":
-            continue  # `static Ret Fn() {...}` definition or truncated
-        texts = {s.text for s in stmt}
-        if texts & _BP007_IMMUTABLE or texts & _BP007_SYNC:
-            continue
-        if "(" in texts:
-            continue  # function declaration or ctor-call initializer
-        name = None
-        for s in stmt:
-            if s.text == "=":
-                break
-            if s.kind == "id":
-                name = s.text
-        if name is None:
-            continue
-        yield Diagnostic(
-            f.path, t.line, "BP007",
-            f"mutable static '{name}' in a file on a Runner prologue "
-            f"path; worker threads may race on it — make it "
-            f"const/constexpr/thread_local, synchronize it, or keep it "
-            f"off prologue paths")
-
-
-def _bp007_brace_kind(toks: Sequence[Tok], i: int) -> str:
-    """Classifies the '{' at toks[i]: 'ns', 'type', or 'block'."""
-    j = i - 1
-    header: List[str] = []
-    while j >= 0 and toks[j].text not in (";", "{", "}") and \
-            len(header) < 32:
-        header.append(toks[j].text)
-        j -= 1
-    if "namespace" in header:
-        return "ns"
-    if {"struct", "class", "union", "enum"} & set(header) and \
-            "=" not in header:
-        return "type"
-    return "block"
-
-
-def _bp007_globals(f: FileFacts) -> Iterable[Diagnostic]:
-    """Initialized, un-synchronized variable definitions at namespace
-    scope. Conservative: only statements with a top-level `=` whose first
-    token is a type-ish identifier are considered, so expression
-    statements and declarations the classifier cannot place degrade to
-    silence."""
-    toks = f.tokens
-    n = len(toks)
-    stack: List[str] = []
-    stmt_start = 0
-    i = 0
-    while i < n:
-        text = toks[i].text
-        if text == "{":
-            stack.append(_bp007_brace_kind(toks, i))
-            stmt_start = i + 1
-        elif text == "}":
-            if stack:
-                stack.pop()
-            stmt_start = i + 1
-        elif text == ";":
-            if all(k == "ns" for k in stack):
-                d = _bp007_global_stmt(f, toks[stmt_start:i])
-                if d is not None:
-                    yield d
-            stmt_start = i + 1
-        i += 1
-
-
-def _bp007_global_stmt(f: FileFacts,
-                       stmt: Sequence[Tok]) -> Optional[Diagnostic]:
-    if not stmt or stmt[0].kind != "id":
-        return None
-    if stmt[0].text in _BP007_STMT_SKIP_HEADS:
-        return None
-    texts = {t.text for t in stmt}
-    if texts & _BP007_IMMUTABLE or texts & _BP007_SYNC:
-        return None
-    name = None
-    eq_idx = -1
-    for idx, t in enumerate(stmt):
-        if t.text == "=":
-            eq_idx = idx
-            break
-        if t.text == "(":
-            return None  # function decl / default argument
-        if t.kind == "id":
-            name = t.text
-    if eq_idx < 0 or name is None:
-        return None
-    return Diagnostic(
-        f.path, stmt[0].line, "BP007",
-        f"un-mutexed namespace-scope variable '{name}' in a file on a "
-        f"Runner prologue path; worker threads may race on it — make it "
-        f"const/constexpr, synchronize it, or keep it off prologue paths")
-
-
-def _factory_worker_calls(fn: FunctionDef) -> Set[str]:
-    """Worker-side calls of a Prologue factory: the factory body itself
-    runs on the submit thread, the lambda it `return`s is the prologue
-    (worker code), and the nested lambda-after-return inside THAT is the
-    epilogue (back on the submit thread, excluded again)."""
-    out: Set[str] = set()
-    body = fn.body
-    n = len(body)
-    i = 0
-    prev_id = ""
-    while i < n:
-        t = body[i]
-        if t.text == "[":
-            span = _lambda_body_span(body, i)
-            if span is not None:
-                if prev_id == "return":
-                    _collect_worker_calls(body, span[0], span[1], out)
-                i = span[1] + 1
-                prev_id = ""
-                continue
-        prev_id = t.text if t.kind == "id" else ""
-        i += 1
-    return out
-
-
-def _bp007_transitive_paths(project: Project) -> Set[str]:
-    """Files whose functions are reachable from a prologue-context
-    lambda: their code runs on Runner worker threads even though the
-    file itself never names the Runner seam, so they join the BP007
-    scope (the v2 transitive growth)."""
-    roots: List[Key] = []
-    for name in sorted(project.prologue_roots):
-        for key in project.graph.resolve_name(name):
-            defs = project.graph.defs[key]
-            if all("Prologue" in d.ret.split() for d in defs):
-                # A factory constructing the prologue, not worker code:
-                # closure only through its returned lambda's calls.
-                names: Set[str] = set()
-                for d in defs:
-                    names |= _factory_worker_calls(d)
-                for nm in sorted(names):
-                    roots.extend(project.graph.resolve_name(nm))
-            else:
-                roots.append(key)
-    paths: Set[str] = set()
-    for key in project.graph.forward_closure(roots):
-        for fn in project.graph.defs.get(key, ()):
-            paths.add(fn.path)
-    return paths
-
-
-def rule_bp007(project: Project) -> Iterable[Diagnostic]:
-    transitive = _bp007_transitive_paths(project)
-    for f in project.files:
-        if not _bp007_in_scope(f) and f.path not in transitive:
-            continue
-        yield from _bp007_statics(f)
-        yield from _bp007_globals(f)
-
-
-# ---------------------------------------------------------------------------
 # BP008 — discarded Status/StatusOr
 # ---------------------------------------------------------------------------
 
@@ -872,8 +660,7 @@ _BP009_SINKS = {"Send", "SendTo", "SendShared", "Broadcast", "Drain"}
 _BP009_LOCK_TYPES = {"lock_guard", "unique_lock", "scoped_lock",
                      "shared_lock"}
 # Types whose values are invokable callbacks in this codebase.
-_BP009_CB_TYPES = {"Prologue", "Epilogue", "BatchTask", "Callback",
-                   "function"}
+_BP009_CB_TYPES = {"Callback", "function"}
 
 
 def _bp009_cb_vars(fn: FunctionDef) -> Set[str]:
@@ -1184,7 +971,6 @@ RULE_FNS = {
     "BP004": rule_bp004,
     "BP005": rule_bp005,
     "BP006": rule_bp006,
-    "BP007": rule_bp007,
     "BP008": rule_bp008,
     "BP009": rule_bp009,
     "BP010": rule_bp010,

@@ -19,14 +19,9 @@
 #      with and without injected loss and fails unless adaptive beats
 #      the best static window under loss while matching it lossless
 #      (the DESIGN.md §13 congestion-control gate).
-#   3b. Parallel-runtime smoke: bench_parallel_runtime --smoke sweeps the
-#       Runner seam (inline + 1/2/4/8 workers, DESIGN.md §12), checking
-#       threaded results element-for-element against inline; the >=3x
-#       scaling gate is enforced only on hosts with >= 4 hardware
-#       threads (the JSON records the core count either way).
-#       Every bench pass MUST refresh its repo-root BENCH_*.json copy —
-#       a bench that ran without updating the versioned results fails
-#       the gate (refresh_bench below).
+#      Every bench pass MUST refresh its repo-root BENCH_*.json copy —
+#      a bench that ran without updating the versioned results fails
+#      the gate (refresh_bench below).
 #   3c. Quorum-cert ablation smoke: bench_fig6_communication --qc runs
 #       the same send workload with real crypto, QC-off vs QC-on, and
 #       fails unless QC-on performs at most half the individual MAC
@@ -37,12 +32,12 @@
 #       compile database — skipped with a notice when clang-tidy is not
 #       installed.
 #   4b. bplint: the project-invariant static-analysis suite
-#       (scripts/bplint; rules BP001–BP011 — determinism, entropy
-#       hygiene, wire-field coverage, dispatch exhaustiveness, integer
-#       consensus math, metrics/trace hygiene, runner prologue-path
-#       state, discarded Status, lock-scope discipline, timer hygiene,
-#       bounded decode; the entropy/float/prologue rules chase call
-#       chains across translation units via the project call graph).
+#       (scripts/bplint; rules BP001–BP006 and BP008–BP011 —
+#       determinism, entropy hygiene, wire-field coverage, dispatch
+#       exhaustiveness, integer consensus math, metrics/trace hygiene,
+#       discarded Status, lock-scope discipline, timer hygiene, bounded
+#       decode; the entropy/float rules chase call chains across
+#       translation units via the project call graph).
 #       Zero unsuppressed diagnostics required; the serial run, a
 #       rerun, and a --jobs=4 run must all be byte-identical; and the
 #       whole-tree pass must finish inside its 1.5 s budget. Runs even
@@ -53,7 +48,7 @@
 #      buffers — exactly the kind of lifetime bug a sanitizer catches and
 #      a passing test hides.
 #
-# Usage: scripts/check.sh [--fast|--chaos-smoke|--tsan]
+# Usage: scripts/check.sh [--fast|--chaos-smoke]
 #   --fast         passes 1–3c + bplint; skip clang-tidy and sanitizers.
 #   --chaos-smoke  quick chaos gate (<60s): build, then run the chaos
 #                  regression + a reduced soak (2 seeds per template via
@@ -61,11 +56,6 @@
 #                  which fails unless throughput recovers after the
 #                  scheduled site outage. Failing campaigns print their
 #                  JSON for seed-exact reproduction (see EXPERIMENTS.md).
-#   --tsan         ThreadSanitizer gate for the Runner seam: Debug build
-#                  with -fsanitize=thread (build-tsan/), then runner_test,
-#                  pbft_test, and bench_parallel_runtime --smoke. The
-#                  worker threads touch only prologue-captured state, so
-#                  any TSan report is a seam violation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,24 +77,6 @@ refresh_bench() {
   echo "refreshed $name"
 }
 
-if [[ "${1:-}" == "--tsan" ]]; then
-  echo "=== tsan: Debug build with -fsanitize=thread ==="
-  cmake -B build-tsan -S . \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    >/dev/null
-  cmake --build build-tsan -j "$JOBS_SMOKE" \
-    --target runner_test pbft_test bench_parallel_runtime
-  echo "=== tsan: runner_test ==="
-  build-tsan/tests/runner_test
-  echo "=== tsan: pbft_test ==="
-  build-tsan/tests/pbft_test
-  echo "=== tsan: bench_parallel_runtime --smoke ==="
-  build-tsan/bench/bench_parallel_runtime --smoke \
-    --out=build-tsan/BENCH_parallel.json
-  echo "=== tsan pass complete ==="
-  exit 0
-fi
 if [[ "${1:-}" == "--chaos-smoke" ]]; then
   echo "=== chaos smoke: build ==="
   cmake -B build -S . >/dev/null
@@ -171,15 +143,6 @@ if command -v python3 >/dev/null 2>&1; then
 fi
 refresh_bench BENCH_pipeline.json
 echo "pipeline smoke OK (BENCH_pipeline.json)"
-
-echo "=== pass 3b: parallel-runtime smoke (Runner worker sweep) ==="
-build/bench/bench_parallel_runtime --smoke --out=build/BENCH_parallel.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 -c "import json,sys; json.load(open('build/BENCH_parallel.json'))" \
-    || { echo "BENCH_parallel.json is not valid JSON"; exit 1; }
-fi
-refresh_bench BENCH_parallel.json
-echo "parallel-runtime smoke OK (BENCH_parallel.json)"
 
 echo "=== pass 3c: quorum-cert ablation smoke (QC gate, DESIGN.md §14) ==="
 # QC-on must perform at most half the individual MAC verifications of

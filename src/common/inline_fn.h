@@ -1,8 +1,7 @@
 // A move-only, type-erased `R()` callable with inline storage.
 //
-// Simulator events and Runner prologues/epilogues are built once per
-// message and run once, so the callable that carries them is on the hottest
-// path of every experiment. std::function keeps only 16 bytes inline (a
+// Simulator events are built once per message hop and run once, so the
+// callable that carries them is on the hottest path of every experiment. std::function keeps only 16 bytes inline (a
 // `this` plus a Message already costs a heap allocation) and copies where a
 // move would do. InlineFn<R, N> stores captures of up to N bytes in place,
 // falls back to the heap for larger ones, and is move-only, so a queued

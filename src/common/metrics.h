@@ -217,6 +217,10 @@ struct RobustnessStats {
   int64_t mirror_gap_fetches = 0;
   /// Backfilled mirror entries submitted for commit to close a gap.
   int64_t mirror_gap_filled = 0;
+  /// Messages a receive path dropped at decode or authentication (bad
+  /// encoding, wrong sender or destination, bad signature), counted once
+  /// where each dispatcher rejects them.
+  int64_t msgs_rejected = 0;
 
   void Reset() { *this = RobustnessStats{}; }
 };
@@ -224,38 +228,9 @@ struct RobustnessStats {
 /// The process-wide robustness counter block.
 RobustnessStats& robustness_stats();
 
-/// Process-wide counters for the Runner seam (DESIGN.md §12). Updated only
-/// from runner submit/retire threads — every supported configuration is
-/// single-submitter, so that is one thread and plain int64 fields stay
-/// race-free. Worker threads never touch this block (BP007 discipline).
-struct RunnerStats {
-  /// Prologues submitted through any Runner (inline or threaded).
-  int64_t prologues_submitted = 0;
-  /// Epilogue slots retired, in submission order (includes dropped ones).
-  int64_t epilogues_retired = 0;
-  /// Prologues that returned a null epilogue — the message died in the
-  /// pure stage (decode failure, bad signature, wrong destination).
-  int64_t prologues_dropped = 0;
-  /// Submissions that found the bounded queue full and had to block,
-  /// retiring ready epilogues while waiting.
-  int64_t backpressure_waits = 0;
-  /// Peak submitted-but-unretired depth observed across all runners.
-  int64_t queue_depth_peak = 0;
-  /// Fork-join tasks executed through RunBatch (crypto/codec batch
-  /// helpers); these bypass the ordered window and retire no epilogues.
-  int64_t batch_tasks = 0;
-
-  void Reset() { *this = RunnerStats{}; }
-};
-
-/// The process-wide runner counter block.
-RunnerStats& runner_stats();
-
 /// Process-wide counters for quorum-certificate aggregation (DESIGN.md §14).
 /// Observability-only, like the other stat blocks — nothing reads them to
-/// make protocol decisions. Updated only from retire/serial threads (BP007):
-/// worker-thread cert checks go through VerifyCertDetached, which touches
-/// nothing here, and their accounting lands at ordered epilogue retirement.
+/// make protocol decisions.
 struct QcStats {
   /// Certificates assembled from completed f_i+1 signature sets.
   int64_t certs_built = 0;

@@ -45,12 +45,10 @@ class CommDaemon {
   /// Routes kTransmissionAck / kRecvStatusReply traffic.
   void OnMessage(const net::Message& msg);
 
-  /// A decoded attestation response (the host node's prologue already
-  /// decoded it and checked signer==src). Submits a signature-verify
-  /// prologue through the host's Runner; the epilogue re-validates the
-  /// flight before applying (DESIGN.md §12).
-  void OnAttestResponseDecoded(net::NodeId src,
-                               const AttestResponseMsg& response);
+  /// A decoded attestation response (the host node already checked
+  /// signer==src): verifies the signature against the flight it attests,
+  /// dedups signers, and transmits on the f_i+1-th signature.
+  void OnAttestResponse(const AttestResponseMsg& response);
 
   /// Byzantine test hook: the daemon keeps claiming to work but sends
   /// nothing (the reserve should take over).
@@ -84,10 +82,6 @@ class CommDaemon {
   /// compact quorum certs (DESIGN.md §14) so every subsequent Transmit —
   /// including widened retransmissions — ships certs instead of vectors.
   void FinalizeProof(Flight* flight);
-  /// Ordered epilogue of a verified attestation: re-finds the flight (it
-  /// may have completed or been acked away while the verify was in
-  /// flight), dedups signers, and transmits on the f_i+1-th signature.
-  void ApplyAttestation(uint64_t pos, const crypto::Signature& sig);
   void OnTransmissionAck(const net::Message& msg);
   void OnRecvStatusReply(const net::Message& msg);
   void Transmit(Flight& flight, bool widen);

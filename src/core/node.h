@@ -110,10 +110,6 @@ class BlockplaneNode : public net::Host {
   const BlockplaneOptions& options() const { return options_; }
   crypto::KeyStore* keys() const { return keys_; }
   net::Network* network() const { return network_; }
-  /// The parallel-runtime seam this node routes message prologues through
-  /// (DESIGN.md §12). Never null: options.runner, or the process-wide
-  /// InlineRunner.
-  common::Runner* runner() const { return runner_; }
 
   /// The node's copy of the Local Log, 1-based by position.
   const std::map<uint64_t, LogRecord>& log() const { return log_; }
@@ -216,16 +212,10 @@ class BlockplaneNode : public net::Host {
   uint64_t PrevCommPos(net::SiteId dest, uint64_t pos) const;
 
   // -- message handlers --
-  /// Non-hot-path messages: the old HandleMessage switch body, reached
-  /// through a pass-through prologue so threaded epilogues still retire in
-  /// delivery order (DESIGN.md §12).
-  void DispatchSerial(const net::Message& msg);
-  /// Hot-path prologues: decode (and digest) off the delivery thread.
-  common::Runner::Prologue PrologueTransmission(net::Message msg);
-  common::Runner::Prologue PrologueAttestResponse(net::Message msg);
-  /// Epilogue of a decoded kTransmission: the state-touching tail of the
-  /// seed's OnTransmission.
-  void OnTransmissionDecoded(net::NodeId src, TransmissionRecord tr);
+  /// The two hot receive paths: decode onto the stack, check, apply.
+  /// False when the message is rejected at decode or by a sender check.
+  bool OnTransmission(const net::Message& msg);
+  bool OnAttestResponse(const net::Message& msg);
   void OnAttestRequest(const net::Message& msg);
   void OnRecvStatusQuery(const net::Message& msg);
   void OnGeoReplicate(const net::Message& msg);
@@ -250,8 +240,6 @@ class BlockplaneNode : public net::Host {
   crypto::KeyStore* keys_;
   std::unique_ptr<crypto::Signer> signer_;
   BlockplaneOptions options_;
-  /// options_.runner, or the process-wide InlineRunner. Never null.
-  common::Runner* runner_;
   net::NodeId self_;
   net::SiteId origin_site_;
 
@@ -345,7 +333,7 @@ class BlockplaneNode : public net::Host {
       pending_acks_;
 
   /// Re-submission bookkeeping for received transmissions. The sender's
-  /// retransmissions re-enter OnTransmissionDecoded; each pass re-submits
+  /// retransmissions re-enter OnTransmission; each pass re-submits
   /// the record, and after repeated attempts without a commit the request
   /// escalates from the leader alone to the whole unit, so the backups'
   /// request watchdogs can evict a leader whose lagging execution makes it

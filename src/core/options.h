@@ -4,10 +4,6 @@
 
 #include "sim/sim_time.h"
 
-namespace blockplane::common {
-class Runner;
-}  // namespace blockplane::common
-
 namespace blockplane::core {
 
 /// Adaptive per-destination window control (DESIGN.md §13). Off by
@@ -102,13 +98,6 @@ struct BlockplaneOptions {
   /// implement creating and checking signatures and digests". Payload
   /// digests are always SHA-256 (DESIGN.md §7).
   bool sign_messages = true;
-
-  /// Parallel-runtime seam (DESIGN.md §12): the Runner every node of the
-  /// deployment routes message prologues through (also handed to each
-  /// node's PBFT replica). nullptr selects the process-wide InlineRunner —
-  /// seed behavior, deterministic; the threaded harnesses inject a
-  /// ThreadPoolRunner whose submitting thread is the delivery thread.
-  common::Runner* runner = nullptr;
 
   /// When positive, each node keeps only this many recent non-communication
   /// Local Log entries in memory (communication records stay until their

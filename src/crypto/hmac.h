@@ -49,11 +49,9 @@ class PrecomputedHmacKey {
     return Sign(data) == mac;
   }
 
-  /// As Sign(), but without the hot-path counter update. This object is
-  /// immutable after construction and the counter block is owned by the
-  /// runner submit thread, so this is the entry point for Runner prologue
-  /// work on worker threads (DESIGN.md §12); callers account the op count
-  /// at epilogue retirement instead.
+  /// As Sign(), but without the hot-path counter update, for callers that
+  /// account the op themselves or report it under another counter
+  /// (KeyStore::VerifyDetached, KeyStore::VerifyCert).
   Digest SignDetached(const uint8_t* data, size_t len) const;
   Digest SignDetached(const Bytes& data) const {
     return SignDetached(data.data(), data.size());

@@ -140,10 +140,21 @@ void KeyStore::CertCacheInsert(VerifiedCert entry) const {
   cert_cur_.insert(std::move(entry));
 }
 
-bool KeyStore::VerifyCertDetached(const Bytes& msg, const QuorumCert& cert,
-                                  int threshold) const {
-  if (cert.site < 0 || cert.index_base < 0) return false;
+bool KeyStore::VerifyCert(const Bytes& msg, const QuorumCert& cert,
+                          int threshold) const {
   if (cert.signer_count() < threshold) return false;
+  VerifiedCert probe{cert.site, cert.index_base, cert.signer_bits, cert.agg,
+                     msg};
+  if (verify_cache_capacity_ > 0 && CertCacheLookup(probe)) {
+    // One probe answers for every constituent MAC: the f_i+1 individual
+    // verifications VerifyProof would have run are elided wholesale.
+    qc_stats().cache_hits++;
+    qc_stats().verifies_elided += cert.signer_count();
+    return true;
+  }
+  qc_stats().certs_verified++;
+  qc_stats().proof_sig_verifies += cert.signer_count();
+  if (cert.site < 0 || cert.index_base < 0) return false;
   // Recompute each listed signer's MAC (ascending index — the canonical
   // aggregation order) and compare the aggregate. One unregistered index
   // or one tampered MAC byte changes the aggregate and the cert fails.
@@ -156,46 +167,9 @@ bool KeyStore::VerifyCertDetached(const Bytes& msg, const QuorumCert& cert,
     Digest mac = it->second.hmac.SignDetached(msg);
     macs.insert(macs.end(), mac.begin(), mac.end());
   }
-  return Sha256Digest(macs) == cert.agg;
-}
-
-bool KeyStore::VerifyCert(const Bytes& msg, const QuorumCert& cert,
-                          int threshold) const {
-  if (cert.signer_count() < threshold) return false;
-  if (verify_cache_capacity_ == 0) {
-    bool ok = VerifyCertDetached(msg, cert, threshold);
-    qc_stats().certs_verified++;
-    qc_stats().proof_sig_verifies += cert.signer_count();
-    return ok;
-  }
-  VerifiedCert probe{cert.site, cert.index_base, cert.signer_bits, cert.agg,
-                     msg};
-  if (CertCacheLookup(probe)) {
-    // One probe answers for every constituent MAC: the f_i+1 individual
-    // verifications VerifyProof would have run are elided wholesale.
-    qc_stats().cache_hits++;
-    qc_stats().verifies_elided += cert.signer_count();
-    return true;
-  }
-  bool ok = VerifyCertDetached(msg, cert, threshold);
-  qc_stats().certs_verified++;
-  qc_stats().proof_sig_verifies += cert.signer_count();
-  if (ok) CertCacheInsert(std::move(probe));
-  return ok;
-}
-
-void KeyStore::SeedCertCache(const Bytes& msg, const QuorumCert& cert) const {
-  // Ordered-epilogue half of a worker-thread VerifyCertDetached (the
-  // capture-at-submit pattern of DESIGN.md §12): accounting and cache
-  // seeding land on the retire thread, exactly as the serial VerifyCert
-  // miss path would have produced them.
-  qc_stats().certs_verified++;
-  qc_stats().proof_sig_verifies += cert.signer_count();
-  if (verify_cache_capacity_ == 0) return;
-  VerifiedCert entry{cert.site, cert.index_base, cert.signer_bits, cert.agg,
-                     msg};
-  if (CertCacheLookup(entry)) return;
-  CertCacheInsert(std::move(entry));
+  if (Sha256Digest(macs) != cert.agg) return false;
+  CertCacheInsert(std::move(probe));
+  return true;
 }
 
 }  // namespace blockplane::crypto

@@ -5,19 +5,8 @@
 
 #include "common/codec.h"
 #include "common/metrics.h"
-#include "common/runner.h"
 
 namespace blockplane::crypto {
-
-namespace {
-
-/// Jobs per prologue for the batch APIs: large enough to amortize the
-/// runner's per-task queue round-trip against ~2 SHA-256 compressions per
-/// HMAC, small enough to spread a PBFT certificate or a daemon flight
-/// across workers.
-constexpr size_t kBatchChunk = 8;
-
-}  // namespace
 
 size_t KeyStore::VerifiedSigHash::Hash(net::NodeId signer, const Digest& mac) {
   // FNV-1a over the discriminating prefix. The MAC is 32 bytes of
@@ -94,75 +83,11 @@ bool KeyStore::Verify(const Bytes& msg, const Signature& sig) const {
   return it->second.hmac.Verify(msg, sig.mac);
 }
 
-const PrecomputedHmacKey& KeyStore::HmacFor(net::NodeId node) const {
-  auto it = keys_.find(node);
-  BP_CHECK_MSG(it != keys_.end(), "key lookup for unregistered node");
-  return it->second.hmac;
-}
-
 bool KeyStore::VerifyDetached(const uint8_t* msg, size_t len,
                               const Signature& sig) const {
   auto it = keys_.find(sig.signer);
   if (it == keys_.end()) return false;
   return it->second.hmac.SignDetached(msg, len) == sig.mac;
-}
-
-void KeyStore::VerifyBatch(std::vector<VerifyJob>* jobs,
-                           common::Runner* runner) const {
-  if (runner == nullptr) runner = common::DefaultRunner();
-  if (runner->serial()) {
-    // Seed-identical serial path: cache lookups, hits/misses counters, and
-    // cache seeding behave exactly as per-message Verify() calls.
-    for (VerifyJob& job : *jobs) job.ok = Verify(job.msg, job.sig);
-    return;
-  }
-  std::vector<common::Runner::BatchTask> tasks;
-  tasks.reserve((jobs->size() + kBatchChunk - 1) / kBatchChunk);
-  for (size_t start = 0; start < jobs->size(); start += kBatchChunk) {
-    const size_t end = std::min(jobs->size(), start + kBatchChunk);
-    // Pure fork stage: recompute every MAC in this chunk. Chunks write
-    // disjoint job slots, so concurrent tasks never alias.
-    tasks.push_back([this, jobs, start, end] {
-      for (size_t i = start; i < end; ++i) {
-        VerifyJob& job = (*jobs)[i];
-        job.ok = VerifyDetached(job.msg, job.sig);
-      }
-    });
-  }
-  runner->RunBatch(std::move(tasks));
-  // Join stage, on the calling thread in job order: the accounting and
-  // cache seeding the serial path would have produced for cache misses.
-  hotpath_stats().hmac_precomputed_ops += static_cast<int64_t>(jobs->size());
-  if (verify_cache_capacity_ == 0) return;
-  for (const VerifyJob& job : *jobs) {
-    hotpath_stats().sig_cache_misses++;
-    if (job.ok) {
-      CacheInsert(VerifiedSig{job.sig.signer, job.sig.mac, job.msg});
-    }
-  }
-}
-
-void Signer::SignBatch(std::vector<SignJob>* jobs,
-                       common::Runner* runner) const {
-  if (runner == nullptr) runner = common::DefaultRunner();
-  if (runner->serial()) {
-    for (SignJob& job : *jobs) job.sig = Sign(job.msg);
-    return;
-  }
-  const PrecomputedHmacKey& key = store_->HmacFor(node_);
-  std::vector<common::Runner::BatchTask> tasks;
-  tasks.reserve((jobs->size() + kBatchChunk - 1) / kBatchChunk);
-  for (size_t start = 0; start < jobs->size(); start += kBatchChunk) {
-    const size_t end = std::min(jobs->size(), start + kBatchChunk);
-    tasks.push_back([this, &key, jobs, start, end] {
-      for (size_t i = start; i < end; ++i) {
-        SignJob& job = (*jobs)[i];
-        job.sig = Signature{node_, key.SignDetached(job.msg)};
-      }
-    });
-  }
-  runner->RunBatch(std::move(tasks));
-  hotpath_stats().hmac_precomputed_ops += static_cast<int64_t>(jobs->size());
 }
 
 bool KeyStore::VerifyProof(const Bytes& msg,

@@ -22,10 +22,6 @@
 #include "crypto/hmac.h"
 #include "net/node_id.h"
 
-namespace blockplane::common {
-class Runner;
-}  // namespace blockplane::common
-
 namespace blockplane::crypto {
 
 /// A 32-byte signature over a message, attributable to a node.
@@ -40,21 +36,6 @@ struct Signature {
 
 class Signer;
 struct QuorumCert;  // crypto/quorum_cert.h
-
-/// One entry of a KeyStore::VerifyBatch call: `msg` + `sig` are inputs,
-/// `ok` is the output verdict.
-struct VerifyJob {
-  Bytes msg;
-  Signature sig;
-  bool ok = false;
-};
-
-/// One entry of a Signer::SignBatch call: `msg` is the input, `sig` the
-/// output signature.
-struct SignJob {
-  Bytes msg;
-  Signature sig{};
-};
 
 /// Registry of node keys for one simulated deployment.
 ///
@@ -82,26 +63,11 @@ class KeyStore {
   /// Verifies that `sig` is `sig.signer`'s signature over `msg`.
   bool Verify(const Bytes& msg, const Signature& sig) const;
 
-  /// Worker-thread-safe verification against registered key material: no
-  /// verify-once cache, no hot-path counters. This is the entry point for
-  /// Runner prologues (DESIGN.md §12). Safe to call concurrently from
-  /// worker threads provided no RegisterNode runs concurrently —
-  /// registration is deployment setup, strictly before traffic flows.
+  /// Verification against registered key material with no verify-once
+  /// cache and no hot-path counters: the PBFT vote path checks each vote
+  /// body in place and does its own accounting (DESIGN.md §7).
   bool VerifyDetached(const uint8_t* msg, size_t len,
                       const Signature& sig) const;
-  bool VerifyDetached(const Bytes& msg, const Signature& sig) const {
-    return VerifyDetached(msg.data(), msg.size(), sig);
-  }
-
-  /// Batched verification through `runner` (nullptr = DefaultRunner).
-  /// Jobs are split into chunks; each chunk's HMAC recomputation runs as
-  /// one prologue — on a worker thread under a threaded runner — and its
-  /// verdicts retire in submission order, where the hot-path counters and
-  /// the verify-once cache are updated. On a serial runner this degrades
-  /// to the plain Verify() loop: bit-identical counters and cache
-  /// behavior. Blocks until every job's verdict is written.
-  void VerifyBatch(std::vector<VerifyJob>* jobs,
-                   common::Runner* runner) const;
 
   /// Verifies a proof: at least `threshold` valid signatures over `msg` from
   /// *distinct* nodes of site `site`. Invalid signatures and other sites'
@@ -117,21 +83,9 @@ class KeyStore {
   /// recomputed from registered key material, aggregate compared. Consults
   /// the digest-keyed two-generation cert cache first, so retransmissions,
   /// go-back-N trailing flights, backfill replays, and re-submissions cost
-  /// one probe instead of f_i+1 signature checks. Retire-thread only (it
-  /// touches the cache and the qc.* counters).
+  /// one probe instead of f_i+1 signature checks.
   bool VerifyCert(const Bytes& msg, const QuorumCert& cert,
                   int threshold) const;
-
-  /// Worker-thread-safe cert verification: no cache, no counters — the
-  /// Runner-prologue entry point, mirroring VerifyDetached. Callers seed
-  /// the cache at ordered epilogue retirement via SeedCertCache.
-  bool VerifyCertDetached(const Bytes& msg, const QuorumCert& cert,
-                          int threshold) const;
-
-  /// Records a cert that a prologue already verified detached: inserts it
-  /// into the cert cache and lands the accounting the serial VerifyCert
-  /// miss path would have produced. Retire-thread only.
-  void SeedCertCache(const Bytes& msg, const QuorumCert& cert) const;
 
   /// Bounds the verify-once caches (total entries across both generations,
   /// applied to the signature cache and the cert cache independently).
@@ -151,8 +105,6 @@ class KeyStore {
  private:
   friend class Signer;
   Digest SignAs(net::NodeId node, const uint8_t* msg, size_t len) const;
-  /// The precomputed key of a registered node (CHECK-fails otherwise).
-  const PrecomputedHmacKey& HmacFor(net::NodeId node) const;
 
   /// One verified (signer, mac, message) triple.
   struct VerifiedSig {
@@ -242,13 +194,6 @@ class Signer {
   Signature Sign(const Bytes& msg) const {
     return Sign(msg.data(), msg.size());
   }
-
-  /// Batched signing through `runner` (nullptr = DefaultRunner). Chunked
-  /// prologues compute the HMACs (worker threads under a threaded runner);
-  /// accounting lands at ordered epilogue retirement. On a serial runner
-  /// this degrades to the plain Sign() loop. Blocks until every job's
-  /// signature is written.
-  void SignBatch(std::vector<SignJob>* jobs, common::Runner* runner) const;
 
   net::NodeId node() const { return node_; }
 

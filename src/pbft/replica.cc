@@ -16,8 +16,6 @@ PbftReplica::PbftReplica(net::Network* network, crypto::KeyStore* keys,
       sim_(network->simulator()),
       keys_(keys),
       config_(std::move(config)),
-      runner_(config_.runner != nullptr ? config_.runner
-                                        : common::DefaultRunner()),
       self_(self),
       execute_(std::move(execute)) {
   config_.Validate();
@@ -51,38 +49,17 @@ int PbftReplica::CountMatching(const Map& votes, const Digest& digest) {
 
 void PbftReplica::HandleMessage(const net::Message& msg) {
   if (byzantine_ == ByzantineMode::kSilent) return;
-  // Runner seam (DESIGN.md §12): every PBFT message rides the runner so
-  // that epilogues — the state-touching halves — retire strictly in
-  // delivery order, whatever the prologue fan-out. The three-phase hot
-  // types get real prologues (decode + signature checks, offloadable to
-  // worker threads); everything else submits a pass-through prologue.
+  // One serial receive path (DESIGN.md §12): each handler decodes onto the
+  // stack, checks, and applies, in delivery order.
+  bool accepted = true;
   switch (msg.type) {
     case kPrePrepare:
-      runner_->RunPrologue(ProloguePrePrepare(msg));
-      return;
+      accepted = OnPrePrepare(msg);
+      break;
     case kPrepare:
     case kCommit:
-      runner_->RunPrologue(PrologueVote(msg));
-      return;
-    case kRequest:
-    case kCheckpoint:
-    case kViewChange:
-    case kNewView:
-    case kFetchCommitted:
-    case kCommittedEntry:
-    case kFetchSnapshot:
-    case kSnapshot:
-      runner_->RunPrologue([this, msg]() -> common::Runner::Epilogue {
-        return [this, msg]() { DispatchSerial(msg); };
-      });
-      return;
-    default:
-      return;  // not a PBFT message; ignore
-  }
-}
-
-void PbftReplica::DispatchSerial(const net::Message& msg) {
-  switch (msg.type) {
+      accepted = OnVote(msg);
+      break;
     case kRequest:
       OnRequest(msg);
       break;
@@ -108,8 +85,9 @@ void PbftReplica::DispatchSerial(const net::Message& msg) {
       OnSnapshot(msg);
       break;
     default:
-      break;
+      return;  // not a PBFT message; ignore
   }
+  if (!accepted) robustness_stats().msgs_rejected++;
 }
 
 // --- plumbing ---------------------------------------------------------------
@@ -393,7 +371,7 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
   instance.req_id = req_id;
   instance.trace_id = trace_id;
   instance.ts_started = sim_->Now();
-  ArmProgressTimer(seq);
+  ArmProgressTimer(seq, instance);
 
   if (byzantine_ == ByzantineMode::kEquivocate) {
     // Send a different value (hence digest) to each half of the replicas.
@@ -415,26 +393,15 @@ void PbftReplica::Propose(uint64_t client_token, uint64_t req_id,
 
 // --- three-phase protocol -----------------------------------------------------
 
-common::Runner::Prologue PbftReplica::ProloguePrePrepare(net::Message msg) {
-  auto prologue = [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
-    // Pure stage: decode, leader, signer and payload-digest checks. The
-    // epilogue checks the signature through the verify-once cache, so
-    // every runner takes one path with one accounting (DESIGN.md §12).
-    PrePrepareMsg pp;
-    if (!PrePrepareMsg::Decode(msg.body(), &pp).ok()) return nullptr;
-    if (msg.src != config_.LeaderOf(pp.view)) return nullptr;
-    if (pp.sig.signer != msg.src) return nullptr;
-    if (ComputeDigest(pp.value) != pp.digest) return nullptr;
-    auto epilogue = [this, pp = std::move(pp),
-                     trace_id = msg.trace_id]() mutable {
-      if (!VerifySig(pp.CanonicalHeader(), pp.sig)) return;
-      OnPrePrepareVerified(std::move(pp), trace_id);
-    };
-    static_assert(common::Runner::Epilogue::kFitsInline<decltype(epilogue)>);
-    return epilogue;
-  };
-  static_assert(common::Runner::Prologue::kFitsInline<decltype(prologue)>);
-  return prologue;
+bool PbftReplica::OnPrePrepare(const net::Message& msg) {
+  PrePrepareMsg pp;
+  if (!PrePrepareMsg::Decode(msg.body(), &pp).ok()) return false;
+  if (msg.src != config_.LeaderOf(pp.view)) return false;
+  if (pp.sig.signer != msg.src) return false;
+  if (ComputeDigest(pp.value) != pp.digest) return false;
+  if (!VerifySig(pp.CanonicalHeader(), pp.sig)) return false;
+  OnPrePrepareVerified(std::move(pp), msg.trace_id);
+  return true;
 }
 
 void PbftReplica::OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id) {
@@ -471,7 +438,7 @@ void PbftReplica::OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id) {
   instance.req_id = pp.req_id;
   if (instance.trace_id == 0) instance.trace_id = trace_id;
   if (instance.ts_started == 0) instance.ts_started = sim_->Now();
-  ArmProgressTimer(pp.seq);
+  ArmProgressTimer(pp.seq, instance);
 
   // Broadcast our prepare vote.
   VoteMsg prepare;
@@ -486,41 +453,32 @@ void PbftReplica::OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id) {
   instance.sent_prepare = true;
   instance.prepares[index_] = {prepare.digest, prepare.sig};  // own vote
   Broadcast(kPrepare, prepare.Encode(), instance.trace_id);
-  MaybePrepared(pp.seq);
+  MaybePrepared(pp.seq, instance);
 }
 
-common::Runner::Prologue PbftReplica::PrologueVote(net::Message msg) {
-  auto prologue = [this, msg = std::move(msg)]() -> common::Runner::Epilogue {
-    // Pure stage for both vote types and both runners: decode, membership,
-    // leaders-don't-prepare, and the MAC over the canonical body, built on
-    // the stack and verified detached, with no cache probe (DESIGN.md §7).
-    VoteMsg vote;
-    const PbftMessageType type = msg.type == kPrepare ? kPrepare : kCommit;
-    if (!VoteMsg::Decode(type, msg.body(), &vote).ok()) return nullptr;
-    const int sender = config_.ReplicaIndex(msg.src);
-    if (sender < 0) return nullptr;
-    if (type == kPrepare && msg.src == config_.LeaderOf(vote.view)) {
-      return nullptr;  // leaders don't prepare
+bool PbftReplica::OnVote(const net::Message& msg) {
+  // Decode, membership, leaders-don't-prepare, and the MAC over the
+  // canonical body, built on the stack and verified detached, with no
+  // cache probe (DESIGN.md §7).
+  VoteMsg vote;
+  const PbftMessageType type = msg.type == kPrepare ? kPrepare : kCommit;
+  if (!VoteMsg::Decode(type, msg.body(), &vote).ok()) return false;
+  const int sender = config_.ReplicaIndex(msg.src);
+  if (sender < 0) return false;
+  if (type == kPrepare && msg.src == config_.LeaderOf(vote.view)) {
+    return false;  // leaders don't prepare
+  }
+  if (vote.sig.signer != msg.src) return false;
+  if (config_.sign_messages) {
+    const VoteMsg::CanonicalBytes body = vote.CanonicalBody();
+    if (!keys_->VerifyDetached(body.data(), body.size(), vote.sig)) {
+      return false;
     }
-    if (vote.sig.signer != msg.src) return nullptr;
-    if (config_.sign_messages) {
-      const VoteMsg::CanonicalBytes body = vote.CanonicalBody();
-      if (!keys_->VerifyDetached(body.data(), body.size(), vote.sig)) {
-        return nullptr;
-      }
-    }
-    auto epilogue = [this, vote, sender, trace_id = msg.trace_id] {
-      if (config_.sign_messages) {  // the prologue's in-place MAC
-        hotpath_stats().hmac_precomputed_ops++;
-        hotpath_stats().encodes_elided++;
-      }
-      OnVoteVerified(vote, sender, trace_id);
-    };
-    static_assert(common::Runner::Epilogue::kFitsInline<decltype(epilogue)>);
-    return epilogue;
-  };
-  static_assert(common::Runner::Prologue::kFitsInline<decltype(prologue)>);
-  return prologue;
+    hotpath_stats().hmac_precomputed_ops++;
+    hotpath_stats().encodes_elided++;
+  }
+  OnVoteVerified(vote, sender, msg.trace_id);
+  return true;
 }
 
 void PbftReplica::OnVoteVerified(const VoteMsg& vote, int sender,
@@ -528,28 +486,23 @@ void PbftReplica::OnVoteVerified(const VoteMsg& vote, int sender,
   if (vote.view != view_ || in_view_change_) return;
   if (vote.seq <= last_stable_) return;
 
+  Instance& instance = instances_[vote.seq];
+  if (instance.trace_id == 0) instance.trace_id = trace_id;
   if (vote.type == kPrepare) {
-    Instance& instance = instances_[vote.seq];
     if (!instance.has_preprepare) instance.view = vote.view;
-    if (instance.trace_id == 0) instance.trace_id = trace_id;
     // Buffered early votes carry their digest; only matching ones count.
     instance.prepares.emplace(sender,
                               Instance::Vote{vote.digest, vote.sig});
-    ArmProgressTimer(vote.seq);
-    MaybePrepared(vote.seq);
+    ArmProgressTimer(vote.seq, instance);
+    MaybePrepared(vote.seq, instance);
     return;
   }
-  Instance& instance = instances_[vote.seq];
-  if (instance.trace_id == 0) instance.trace_id = trace_id;
   instance.commit_view = vote.view;
   instance.commits[sender] = {vote.digest, vote.sig};
-  MaybeCommitted(vote.seq);
+  MaybeCommitted(vote.seq, instance);
 }
 
-void PbftReplica::MaybePrepared(uint64_t seq) {
-  auto it = instances_.find(seq);
-  if (it == instances_.end()) return;
-  Instance& instance = it->second;
+void PbftReplica::MaybePrepared(uint64_t seq, Instance& instance) {
   if (instance.prepared || !instance.has_preprepare) return;
   // Prepared = pre-prepare + 2f matching prepares from distinct backups.
   if (CountMatching(instance.prepares, instance.digest) < 2 * config_.f) {
@@ -590,7 +543,7 @@ void PbftReplica::SendCommitVote(uint64_t seq) {
   instance.commit_view = instance.view;
   instance.commits[index_] = {instance.digest, commit.sig};
   Broadcast(kCommit, commit.Encode(), instance.trace_id);
-  MaybeCommitted(seq);
+  MaybeCommitted(seq, instance);
 }
 
 void PbftReplica::RetryPendingVerifications() {
@@ -612,10 +565,7 @@ void PbftReplica::RetryPendingVerifications() {
   for (uint64_t seq : ready) SendCommitVote(seq);
 }
 
-void PbftReplica::MaybeCommitted(uint64_t seq) {
-  auto it = instances_.find(seq);
-  if (it == instances_.end()) return;
-  Instance& instance = it->second;
+void PbftReplica::MaybeCommitted(uint64_t seq, Instance& instance) {
   if (instance.committed || !instance.prepared) return;
   if (CountMatching(instance.commits, instance.digest) < config_.quorum()) {
     return;
@@ -909,8 +859,7 @@ void PbftReplica::OnCheckpoint(const net::Message& msg) {
 
 // --- view changes --------------------------------------------------------------
 
-void PbftReplica::ArmProgressTimer(uint64_t seq) {
-  Instance& instance = instances_[seq];
+void PbftReplica::ArmProgressTimer(uint64_t seq, Instance& instance) {
   if (instance.progress_timer != sim::kInvalidEventId) return;
   instance.progress_timer = sim_->Schedule(config_.view_timeout, [this, seq]() {
     auto it = instances_.find(seq);
@@ -1211,13 +1160,14 @@ void PbftReplica::EnterView(uint64_t v, const std::vector<ViewChangeMsg>& vcs) {
       instance.prepared = false;
       instance.sent_prepare = false;
       instance.sent_commit = false;
-      ArmProgressTimer(seq);
+      ArmProgressTimer(seq, instance);
       Broadcast(kPrePrepare, pp.Encode());
     }
     MaybeProposeNext();
   } else if (!carryover.empty()) {
     // Backups: watch for the leader's re-issued pre-prepares.
-    ArmProgressTimer(carryover.begin()->first);
+    const uint64_t first = carryover.begin()->first;
+    ArmProgressTimer(first, instances_[first]);
   }
 
   // Give the new view a full timeout to serve the requests we are still

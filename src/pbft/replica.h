@@ -24,7 +24,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "common/runner.h"
 #include "crypto/signer.h"
 #include "net/network.h"
 #include "pbft/config.h"
@@ -194,16 +193,14 @@ class PbftReplica : public net::Host {
   void OnViewChange(const net::Message& msg);
   void OnNewView(const net::Message& msg);
 
-  // -- the Runner seam (DESIGN.md §12) --
-  /// State-only handlers dispatched from an epilogue: they ride the runner
-  /// so they retire in delivery order relative to the offloaded types.
-  void DispatchSerial(const net::Message& msg);
-  /// Prologue for kPrePrepare: decode + leader/signature/digest checks,
-  /// all pure over the captured message and the immutable config/keys.
-  common::Runner::Prologue ProloguePrePrepare(net::Message msg);
-  /// Prologue for kPrepare/kCommit: decode + membership + signature check.
-  common::Runner::Prologue PrologueVote(net::Message msg);
-  /// Epilogue halves: the state-touching remainder of the old handlers.
+  // -- three-phase receive path --
+  /// kPrePrepare: decode + leader/signer/digest/signature checks, then
+  /// OnPrePrepareVerified. False when the message is rejected.
+  bool OnPrePrepare(const net::Message& msg);
+  /// kPrepare/kCommit: decode + membership + signature check, then
+  /// OnVoteVerified. False when the message is rejected.
+  bool OnVote(const net::Message& msg);
+  /// The state-touching remainder of each handler.
   void OnPrePrepareVerified(PrePrepareMsg pp, uint64_t trace_id);
   void OnVoteVerified(const VoteMsg& vote, int sender, uint64_t trace_id);
 
@@ -231,8 +228,11 @@ class PbftReplica : public net::Host {
       const std::map<uint64_t, const Bytes*>& extra);
 
   // -- phase transitions --
-  void MaybePrepared(uint64_t seq);
-  void MaybeCommitted(uint64_t seq);
+  /// `instance` is instances_[seq]. Both may run ExecuteReady (MaybePrepared
+  /// through SendCommitVote), which can erase instances: no caller touches
+  /// `instance` after either returns.
+  void MaybePrepared(uint64_t seq, Instance& instance);
+  void MaybeCommitted(uint64_t seq, Instance& instance);
   void SendCommitVote(uint64_t seq);
   void RetryPendingVerifications();
   /// Number of votes in `votes` matching the instance digest.
@@ -243,7 +243,8 @@ class PbftReplica : public net::Host {
   void TakeCheckpoint(uint64_t seq);
 
   // -- view changes --
-  void ArmProgressTimer(uint64_t seq);
+  /// `instance` is instances_[seq].
+  void ArmProgressTimer(uint64_t seq, Instance& instance);
   void CancelProgressTimer(Instance* instance);
   /// (Re-)arms the censorship watchdog for a watched client request; when
   /// it fires without the request executing, the leader is suspect.
@@ -283,8 +284,6 @@ class PbftReplica : public net::Host {
   crypto::KeyStore* keys_;
   std::unique_ptr<crypto::Signer> signer_;
   PbftConfig config_;
-  /// config_.runner, or the process-wide InlineRunner. Never null.
-  common::Runner* runner_;
   net::NodeId self_;
   int index_;
   ExecuteCallback execute_;

@@ -1,12 +1,16 @@
 // Unit tests for the common substrate: Status, StatusOr, codec, crc32,
-// bytes, and metrics.
+// bytes, metrics, and InlineFn.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/codec.h"
 #include "common/crc32.h"
+#include "common/inline_fn.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/status_or.h"
@@ -216,6 +220,86 @@ TEST(CounterSetTest, IncrementAndRead) {
   EXPECT_EQ(c.Get("missing"), 0);
   c.Clear();
   EXPECT_EQ(c.Get("wan_messages"), 0);
+}
+
+// --- InlineFn ---------------------------------------------------------------
+
+using SmallFn = common::InlineFn<void, 32>;
+
+/// A capture too large for SmallFn's inline buffer that counts its runs and
+/// destructions (moved-from husks do not count).
+struct LargeCapture {
+  LargeCapture(int* runs, int* destroyed)
+      : runs_(runs), destroyed_(destroyed) {}
+  LargeCapture(LargeCapture&& other) noexcept
+      : pad_(other.pad_), runs_(other.runs_), destroyed_(other.destroyed_) {
+    other.destroyed_ = nullptr;
+  }
+  LargeCapture(const LargeCapture&) = delete;
+  ~LargeCapture() {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+  void operator()() { ++*runs_; }
+
+ private:
+  std::array<char, 2 * SmallFn::kInlineSize> pad_{};
+  int* runs_;
+  int* destroyed_;
+};
+static_assert(!SmallFn::kFitsInline<LargeCapture>);
+
+TEST(InlineFnTest, MoveOnlyCapturesSurviveQueueing) {
+  // Callables that return callables, each owning a move-only capture,
+  // queued in a growing vector (every growth relocates the inline storage)
+  // and run in order.
+  using Outer = common::InlineFn<SmallFn, 32>;
+  std::vector<int> seen;
+  std::vector<Outer> queue;
+  for (int i = 0; i < 16; ++i) {
+    queue.push_back(
+        [&seen, p = std::make_unique<int>(i)]() mutable -> SmallFn {
+          *p *= 10;
+          return [&seen, q = std::move(p)] { seen.push_back(*q); };
+        });
+  }
+  for (Outer& outer : queue) outer()();
+  std::vector<int> expected;
+  for (int i = 0; i < 16; ++i) expected.push_back(i * 10);
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(InlineFnTest, HeapFallbackCaptureIsDestroyedExactlyOnce) {
+  int runs = 0;
+  int ran_destroyed = 0;
+  int dropped_destroyed = 0;
+  {
+    SmallFn a = LargeCapture(&runs, &ran_destroyed);
+    SmallFn b = std::move(a);  // relocates the heap pointer
+    EXPECT_FALSE(a);
+    ASSERT_TRUE(b);
+    b();
+    SmallFn c;
+    c = std::move(b);
+    c();
+    SmallFn d = LargeCapture(&runs, &dropped_destroyed);
+    d = std::move(c);  // destroys d's own capture, takes c's
+    EXPECT_EQ(dropped_destroyed, 1);
+    EXPECT_EQ(ran_destroyed, 0);
+    d = nullptr;
+    EXPECT_EQ(ran_destroyed, 1);
+  }
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(ran_destroyed, 1);
+  EXPECT_EQ(dropped_destroyed, 1);
+
+  // Returned by value from another callable: it runs once and dies once.
+  int via_return = 0;
+  common::InlineFn<SmallFn, 32> make = [&runs, &via_return]() -> SmallFn {
+    return LargeCapture(&runs, &via_return);
+  };
+  make()();
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(via_return, 1);
 }
 
 }  // namespace

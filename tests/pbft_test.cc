@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/runner.h"
 #include "pbft/client.h"
 #include "sim/simulator.h"
 
@@ -28,12 +27,11 @@ class PbftHarness {
  public:
   explicit PbftHarness(int f, uint64_t seed = 1,
                        Topology topology = Topology::SingleSite(),
-                       uint64_t window = 1, common::Runner* runner = nullptr)
+                       uint64_t window = 1)
       : simulator_(seed),
         network_(&simulator_, std::move(topology)) {
     config_ = UnitConfig(/*site=*/0, f);
     config_.window = window;
-    config_.runner = runner;
     if (network_.topology().num_sites() > 1) {
       // Spread replicas across sites for wide-area tests.
       config_.nodes.clear();
@@ -309,53 +307,7 @@ TEST(PbftTest, WideAreaDeployment) {
   EXPECT_GT(harness.simulator_.Now(), Milliseconds(30));
 }
 
-// --- vote path: one check for both runners -----------------------------------
-
-/// A fixed pipelined workload: `ops` submissions, the simulator advanced a
-/// millisecond at a time with the runner drained after each step (a
-/// threaded runner retires epilogues only when asked).
-struct ParityRun {
-  std::vector<std::vector<std::string>> logs;
-  int64_t hmac_ops = 0;
-  int64_t encodes_elided = 0;
-  uint64_t completed = 0;
-};
-
-ParityRun RunParityWorkload(common::Runner* runner, int ops) {
-  hotpath_stats().Reset();
-  PbftHarness harness(/*f=*/1, /*seed=*/5, Topology::SingleSite(),
-                      /*window=*/4, runner);
-  for (int i = 0; i < ops; ++i) {
-    harness.client_->Submit(ToBytes("op" + std::to_string(i)), nullptr);
-  }
-  while (harness.simulator_.Now() < Seconds(2)) {
-    harness.simulator_.RunFor(Milliseconds(1));
-    runner->Drain();
-  }
-  ParityRun run;
-  for (int r = 0; r < 4; ++r) run.logs.push_back(harness.LogOf(r));
-  run.hmac_ops = hotpath_stats().hmac_precomputed_ops;
-  run.encodes_elided = hotpath_stats().encodes_elided;
-  run.completed = harness.client_->completed();
-  return run;
-}
-
-TEST(PbftRunnerParityTest, ThreadedRunnerMatchesInlineMacCountAndLog) {
-  constexpr int kOps = 24;
-  common::InlineRunner inline_runner;
-  const ParityRun inline_run = RunParityWorkload(&inline_runner, kOps);
-  ASSERT_EQ(inline_run.completed, static_cast<uint64_t>(kOps));
-  ASSERT_EQ(inline_run.logs[0].size(), static_cast<size_t>(kOps));
-  EXPECT_GT(inline_run.hmac_ops, 0);
-  EXPECT_GT(inline_run.encodes_elided, 0);
-
-  common::ThreadPoolRunner pool({/*workers=*/2, /*queue_capacity=*/64, false});
-  const ParityRun threaded = RunParityWorkload(&pool, kOps);
-  EXPECT_EQ(threaded.completed, inline_run.completed);
-  EXPECT_EQ(threaded.logs, inline_run.logs);
-  EXPECT_EQ(threaded.hmac_ops, inline_run.hmac_ops);
-  EXPECT_EQ(threaded.encodes_elided, inline_run.encodes_elided);
-}
+// --- vote path --------------------------------------------------------------
 
 TEST(PbftVoteTest, TamperedCopyOfAnAcceptedPrepareIsDropped) {
   PbftHarness harness(/*f=*/1);
@@ -381,27 +333,26 @@ TEST(PbftVoteTest, TamperedCopyOfAnAcceptedPrepareIsDropped) {
     receiver->HandleMessage(msg);
   };
 
-  runner_stats().Reset();
+  robustness_stats().Reset();
   hotpath_stats().Reset();
   deliver(vote, voter);  // genuine: accepted
-  EXPECT_EQ(runner_stats().prologues_dropped, 0);
+  EXPECT_EQ(robustness_stats().msgs_rejected, 0);
   EXPECT_EQ(hotpath_stats().hmac_precomputed_ops, 1);
 
   VoteMsg bad_mac = vote;
   bad_mac.sig.mac[31] ^= 0x01;
   deliver(bad_mac, voter);
-  EXPECT_EQ(runner_stats().prologues_dropped, 1);
+  EXPECT_EQ(robustness_stats().msgs_rejected, 1);
 
   VoteMsg other_signer = vote;  // the voter's MAC, claimed by another node
   other_signer.sig.signer = other;
   deliver(other_signer, other);
-  EXPECT_EQ(runner_stats().prologues_dropped, 2);
+  EXPECT_EQ(robustness_stats().msgs_rejected, 2);
   deliver(other_signer, voter);  // signer disagrees with the sender
-  EXPECT_EQ(runner_stats().prologues_dropped, 3);
+  EXPECT_EQ(robustness_stats().msgs_rejected, 3);
 
   deliver(vote, voter);  // the genuine vote still passes
-  EXPECT_EQ(runner_stats().prologues_dropped, 3);
-  EXPECT_EQ(runner_stats().epilogues_retired, 5);
+  EXPECT_EQ(robustness_stats().msgs_rejected, 3);
   EXPECT_EQ(hotpath_stats().hmac_precomputed_ops, 2);
   EXPECT_EQ(hotpath_stats().sig_cache_hits, 0);  // votes never probe it
 }

@@ -13,6 +13,7 @@
 #include "common/codec.h"
 #include "common/metrics.h"
 #include "core/deployment.h"
+#include "core/wire.h"
 #include "crypto/signer.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
@@ -217,22 +218,6 @@ TEST_F(CertVerifyTest, DisabledCacheStillVerifiesCorrectly) {
   EXPECT_FALSE(keys_.VerifyCert(msg_, tampered, 2));
 }
 
-TEST_F(CertVerifyTest, SeedCertCacheLandsTheDetachedVerdict) {
-  // The Runner-prologue split: VerifyCertDetached on a worker thread is
-  // counter- and cache-free; SeedCertCache at ordered retirement lands the
-  // accounting, and every later serial verify is a hit.
-  EXPECT_TRUE(keys_.VerifyCertDetached(msg_, cert_, 2));
-  EXPECT_EQ(qc_stats().certs_verified, 0);
-
-  keys_.SeedCertCache(msg_, cert_);
-  EXPECT_EQ(qc_stats().certs_verified, 1);
-  EXPECT_EQ(qc_stats().proof_sig_verifies, 3);
-
-  EXPECT_TRUE(keys_.VerifyCert(msg_, cert_, 2));
-  EXPECT_EQ(qc_stats().cache_hits, 1);
-  EXPECT_EQ(qc_stats().verifies_elided, 3);
-}
-
 // --- Hardened VerifyProof (duplicate-signer rejection) ----------------------
 
 TEST(ProofHardeningTest, ForgedDuplicatePoisonsAnOtherwiseValidProof) {
@@ -312,6 +297,52 @@ TEST(QuorumCertEndToEndTest, SendsShipCertsAndEveryExtraHopHitsTheCache) {
   EXPECT_GT(qc_stats().certs_verified, 0);
   EXPECT_GT(qc_stats().cache_hits, 0);
   EXPECT_GT(qc_stats().verifies_elided, 0);
+  qc_stats().Reset();
+}
+
+TEST(QuorumCertEndToEndTest, DuplicateQcTransmissionChecksItsCertOnce) {
+  // One QC-carrying transmission reaches every Oregon node twice. Arrival
+  // checks nothing; admission checks the cert through the cert cache, so
+  // the f_i+1 MACs are recomputed once in all and the record commits once.
+  sim::Simulator simulator(17);
+  Deployment deployment(&simulator, Topology::Aws4(), QcOptions());
+  TransmissionRecord tr;
+  tr.src_site = kCalifornia;
+  tr.dest_site = kOregon;
+  tr.src_log_pos = 1;
+  tr.prev_src_log_pos = 0;
+  tr.payload = ToBytes("qc-once");
+  const Bytes canonical =
+      AttestCanonical(AttestPurpose::kTransmission, tr.src_site,
+                      tr.src_log_pos, tr.ContentDigest());
+  std::vector<crypto::Signature> sigs;
+  for (int i = 0; i <= deployment.options().fi; ++i) {
+    sigs.push_back(
+        deployment.keys()->RegisterNode({kCalifornia, i})->Sign(canonical));
+  }
+  tr.sig_certs = {crypto::BuildQuorumCert(kCalifornia, sigs)};
+  qc_stats().Reset();
+
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int i = 0; i < 4; ++i) {
+      net::Message msg;
+      msg.src = {kCalifornia, 0};
+      msg.dst = {kOregon, i};
+      msg.type = kTransmission;
+      msg.set_body(tr.Encode());
+      deployment.network()->Send(msg);
+    }
+  }
+  Participant* receiver = deployment.participant(kOregon);
+  Bytes payload;
+  ASSERT_TRUE(simulator.RunUntilCondition(
+      [&] { return receiver->TryReceive(kCalifornia, &payload); },
+      Seconds(60)));
+  EXPECT_EQ(ToString(payload), "qc-once");
+  simulator.RunFor(Seconds(2));
+  EXPECT_FALSE(receiver->TryReceive(kCalifornia, &payload));
+  EXPECT_EQ(qc_stats().certs_verified, 1);
+  EXPECT_GT(qc_stats().cache_hits, 0);
   qc_stats().Reset();
 }
 
