@@ -26,9 +26,6 @@ Facts per file (see FileFacts):
     return type, parameter tokens, body, and the call sites inside the
     body (callee name + receiver + explicit `Cls::` qualifier) — the raw
     material callgraph.py links into the project-wide call graph
-  * function declarations (prototypes) so return-type knowledge (BP008's
-    Status/StatusOr set) covers functions declared in headers but
-    defined in another translation unit
   * timer facts for BP010: Schedule/ScheduleAt sites (assigned handle or
     discarded result, plus the names called / handles assigned inside
     the scheduled lambda for self-rearm detection) and the identifiers
@@ -135,15 +132,6 @@ class FunctionDef:
 
 
 @dataclass
-class FnDecl:
-    """A function declaration (prototype, no body)."""
-    cls: Optional[str]
-    name: str
-    ret: str
-    line: int
-
-
-@dataclass
 class ScheduleSite:
     """One Schedule/ScheduleAt call (BP010 timer hygiene)."""
     line: int
@@ -183,7 +171,6 @@ class FileFacts:
     case_idents: Set[str] = field(default_factory=set)
     cmp_idents: Set[str] = field(default_factory=set)
     fn_defs: List[FunctionDef] = field(default_factory=list)
-    fn_decls: List[FnDecl] = field(default_factory=list)
     cancel_args: Set[str] = field(default_factory=set)
 
 
@@ -829,9 +816,6 @@ def _try_function(toks: List[Tok], paren: int,
         # `= default;` / `= delete;` / `= 0;` — declaration-like.
         while k < n and toks[k].text != ";":
             k += 1
-        if ret or cls:
-            facts.fn_decls.append(FnDecl(cls=cls, name=name, ret=ret,
-                                         line=line))
         return k + 1
     if k < n and toks[k].text == ":":  # constructor initializer list
         k += 1
@@ -846,12 +830,7 @@ def _try_function(toks: List[Tok], paren: int,
                 break  # the function body
             k += 1
     if k < n and toks[k].text == ";":
-        # Prototype. Variable declarations with ctor arguments also land
-        # here; they are harmless in the return-type index.
-        if ret:
-            facts.fn_decls.append(FnDecl(cls=cls, name=name, ret=ret,
-                                         line=line))
-        return k + 1
+        return k + 1  # prototype (or a variable with ctor arguments)
     if k >= n or toks[k].text != "{":
         return paren  # not a function after all (expression, macro, ...)
     body_end = match_balanced(toks, k)

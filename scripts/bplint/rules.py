@@ -1,4 +1,4 @@
-"""The bplint rule catalog (BP001-BP011 + BP000 meta checks).
+"""The bplint rule catalog (BP001-BP006, BP009-BP011 + BP000 meta checks).
 
 Each rule is a function over the Project (all analyzed files' facts)
 that yields Diagnostic objects. Diagnostics are deduplicated and sorted
@@ -8,8 +8,10 @@ Since v2 the Project carries a call graph (callgraph.py), and the
 reachability rules are interprocedural: BP002 and BP005 flag a
 forbidden sink reached through ANY chain of project helpers, with the
 witness chain spelled out in the diagnostic. The flow-sensitive family
-BP008-BP011 targets the concurrency/error-handling bug classes this
-repo has actually hit (see DESIGN.md section 15).
+BP009-BP011 targets the concurrency/error-handling bug classes this
+repo has actually hit (see DESIGN.md section 15). A discarded
+Status/StatusOr (once BP008) is a compile error instead: both types are
+[[nodiscard]], and tests/compile_fail proves the compiler rejects it.
 
 Rule catalog (see DESIGN.md sections 11 and 15 for the rationale):
 
@@ -33,8 +35,6 @@ Rule catalog (see DESIGN.md sections 11 and 15 for the rationale):
          kTracePhases catalog (and vice versa), and every
          CongestionGauge key is in the kCongestionGaugeKeys catalog
          (and vice versa).
-  BP008  discarded Status/StatusOr results in src/: an unchecked error
-         is a silent failure (the PR 2 transport-drop bug class).
   BP009  lock-scope discipline in code that uses lock_guard/unique_lock:
          callbacks, Send, or Drain must not be reachable — directly or
          through any call chain — while a lock scope is open (the PR 6
@@ -77,8 +77,6 @@ RULE_DESCRIPTIONS = [
     ("BP006", "metrics counter not registered with MetricsRegistry, "
               "trace phase mark outside the kTracePhases catalog, or "
               "congestion gauge key outside kCongestionGaugeKeys"),
-    ("BP008", "Status/StatusOr result silently discarded in src/ "
-              "(an unchecked error is a silent failure)"),
     ("BP009", "callback, Send, or Drain reachable — directly or through "
               "a call chain — while a lock_guard/unique_lock scope is "
               "open"),
@@ -139,33 +137,14 @@ class Project:
         # interprocedural rules consult.
         self.graph = CallGraph(self.files)
         self.cancel_args: Set[str] = set()
-        # A name is Status-returning only when every known signature
-        # (definition or prototype) with that name agrees — a single
-        # void/bool overload disqualifies it, so a statement-position
-        # call can never be misflagged through an overload set.
-        status_yes: Set[str] = set()
-        status_no: Set[str] = set()
         for f in self.files:
             self.cancel_args |= f.cancel_args
-            for fn in f.fn_defs:
-                _note_status(status_yes, status_no, fn.name, fn.ret)
-            for decl in f.fn_decls:
-                _note_status(status_yes, status_no, decl.name, decl.ret)
-        self.status_fns: Set[str] = status_yes - status_no
 
     def bodies_of(self, cls: str, names: Iterable[str]) -> List[List[Tok]]:
         out: List[List[Tok]] = []
         for name in names:
             out.extend(self.methods.get((cls, name), []))
         return out
-
-
-def _note_status(yes: Set[str], no: Set[str], name: str, ret: str) -> None:
-    parts = ret.split()
-    if "Status" in parts or "StatusOr" in parts:
-        yes.add(name)
-    else:
-        no.add(name)
 
 
 def _fn_key(fn: FunctionDef) -> Key:
@@ -597,59 +576,6 @@ def rule_bp006(project: Project) -> Iterable[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# BP008 — discarded Status/StatusOr
-# ---------------------------------------------------------------------------
-
-def rule_bp008(project: Project) -> Iterable[Diagnostic]:
-    if not project.status_fns:
-        return
-    for f in project.files:
-        if _bp002_exempt(f.path):
-            continue  # sim/bench may fire-and-forget advisory calls
-        for fn in f.fn_defs:
-            yield from _bp008_fn(project, f, fn)
-
-
-def _bp008_fn(project: Project, f: FileFacts,
-              fn: FunctionDef) -> Iterable[Diagnostic]:
-    body = fn.body
-    n = len(body)
-    for i, t in enumerate(body):
-        if t.kind != "id" or t.text not in project.status_fns:
-            continue
-        if i + 1 >= n or body[i + 1].text != "(":
-            continue
-        end = match_balanced(body, i + 1)
-        if end < n and body[end].text != ";":
-            continue  # result consumed (.ok(), comparison, argument, ...)
-        # Walk back over the receiver chain (`a->b().Decode(...)`) to the
-        # start of the full expression; only a statement-position call
-        # discards its Status. A preceding `)` (e.g. a `(void)` cast or
-        # an if-condition) means the result was handled or routed.
-        p = i - 1
-        while p >= 0 and body[p].text in (".", "->", "::"):
-            p -= 1
-            if p >= 0 and body[p].text == ")":
-                depth = 1
-                p -= 1
-                while p >= 0 and depth > 0:
-                    if body[p].text == ")":
-                        depth += 1
-                    elif body[p].text == "(":
-                        depth -= 1
-                    p -= 1
-            elif p >= 0 and body[p].kind == "id":
-                p -= 1
-        if p >= 0 and body[p].text not in (";", "{", "}"):
-            continue
-        yield Diagnostic(
-            f.path, t.line, "BP008",
-            f"result of '{t.text}' (returns Status/StatusOr) is "
-            f"discarded; an unchecked error is a silent failure — check "
-            f"it, BP_RETURN_NOT_OK it, or cast to (void) with a comment")
-
-
-# ---------------------------------------------------------------------------
 # BP009 — lock-scope discipline
 # ---------------------------------------------------------------------------
 
@@ -971,7 +897,6 @@ RULE_FNS = {
     "BP004": rule_bp004,
     "BP005": rule_bp005,
     "BP006": rule_bp006,
-    "BP008": rule_bp008,
     "BP009": rule_bp009,
     "BP010": rule_bp010,
     "BP011": rule_bp011,

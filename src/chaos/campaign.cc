@@ -356,8 +356,6 @@ std::string Campaign::ToJson() const {
                std::to_string(config.participant_window), false);
   AppendJsonKV(&out, "adaptive_windows",
                config.adaptive_windows ? "true" : "false", false);
-  AppendJsonKV(&out, "quorum_certs",
-               config.quorum_certs ? "true" : "false", false);
   AppendJsonKV(&out, "rtt_ms", std::to_string(config.rtt_ms), false);
   AppendJsonKV(&out, "start_ms",
                std::to_string(sim::ToMillis(config.start)), false);

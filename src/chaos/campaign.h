@@ -92,11 +92,6 @@ struct CampaignConfig {
   /// daemon/participant/replica of the deployment. Off preserves the
   /// static-window campaigns bit-for-bit.
   bool adaptive_windows = false;
-  /// Enables quorum-certificate aggregation (DESIGN.md §14): compact certs
-  /// in place of f_i+1 signature vectors on the wire, verified once per
-  /// receiver via the cert cache. Off preserves wire-v1 campaigns
-  /// bit-for-bit.
-  bool quorum_certs = false;
   double rtt_ms = 40.0;
 
   /// All faults are injected in [start, horizon] and healed by horizon.

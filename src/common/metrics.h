@@ -243,12 +243,11 @@ struct QcStats {
   /// hit elides the certificate's full signer count).
   int64_t verifies_elided = 0;
   /// Individual MAC verifications actually performed while checking proofs:
-  /// per matching signature in VerifyProof, per listed signer in a cold
-  /// cert verification. The QC-on / QC-off ratio of this counter is the
-  /// bench ablation's headline number.
+  /// one per listed signer in a cold cert verification. The QC gate
+  /// (bench_fig6_communication --qc) bounds it per scenario.
   int64_t proof_sig_verifies = 0;
-  /// Wire bytes of proof material (signature vectors or certificates)
-  /// shipped across the WAN by comm daemons, counted once per receiver.
+  /// Wire bytes of cert lists shipped across the WAN by comm daemons,
+  /// counted once per receiver.
   int64_t wan_proof_bytes = 0;
 
   void Reset() { *this = QcStats{}; }

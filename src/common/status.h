@@ -2,7 +2,8 @@
 //
 // Follows the RocksDB/Arrow idiom: library functions return Status (or
 // StatusOr<T>) instead of throwing exceptions. A default-constructed Status
-// is OK and carries no allocation.
+// is OK and carries no allocation. Both are [[nodiscard]]: a dropped result
+// is a silent failure, so the compiler flags it (-Wunused-result).
 #ifndef BLOCKPLANE_COMMON_STATUS_H_
 #define BLOCKPLANE_COMMON_STATUS_H_
 
@@ -33,7 +34,7 @@ enum class StatusCode : int {
 /// Returns a human-readable name for a StatusCode ("OK", "NotFound", ...).
 std::string_view StatusCodeToString(StatusCode code);
 
-class Status {
+class [[nodiscard]] Status {
  public:
   Status() = default;  // OK
   Status(StatusCode code, std::string message);

@@ -75,28 +75,22 @@ void CommDaemon::PumpPipeline() {
   std::vector<uint64_t> new_positions;
   auto pos_it = std::upper_bound(positions.begin(), positions.end(),
                                  std::max(next_send_pos_, acked_pos_));
-  bool geo_proof_wait = false;
+  bool geo_certs_wait = false;
   for (; pos_it != positions.end() && flights_.size() < window; ++pos_it) {
     uint64_t pos = *pos_it;
     const LogRecord& record = host_->log_.at(pos);
 
     // With geo-correlated tolerance, transmissions must carry the mirror
-    // proofs; wait until the participant bundles them (§V). Under
-    // qc.enabled the bundle carries compact certs instead (possibly with
-    // an empty signature vector) — both ride the flight as-is.
-    std::vector<crypto::Signature> geo_proof;
-    std::vector<crypto::QuorumCert> geo_certs;
+    // proofs (one cert per mirror site); wait until the participant
+    // bundles them (§V).
+    std::vector<crypto::QuorumCert> certs;
     if (host_->options_.fg > 0) {
-      auto proof_it = host_->geo_proofs_.find(pos);
-      if (proof_it == host_->geo_proofs_.end()) {
-        geo_proof_wait = true;  // blocked on proofs, not on the window
+      auto proof_it = host_->geo_certs_.find(pos);
+      if (proof_it == host_->geo_certs_.end()) {
+        geo_certs_wait = true;  // blocked on proofs, not on the window
         break;                  // keep order
       }
-      geo_proof = proof_it->second;
-      auto cert_it = host_->geo_proof_certs_.find(pos);
-      if (cert_it != host_->geo_proof_certs_.end()) {
-        geo_certs = cert_it->second;
-      }
+      certs = proof_it->second;
     }
 
     Flight& flight = flights_[pos];
@@ -108,13 +102,12 @@ void CommDaemon::PumpPipeline() {
     flight.record.routine_id = record.routine_id;
     flight.record.payload = record.payload;
     flight.record.geo_pos = record.geo_pos;
-    flight.record.geo_proof = std::move(geo_proof);
-    flight.record.geo_certs = std::move(geo_certs);
+    flight.record.certs = std::move(certs);
     next_send_pos_ = pos;
 
     crypto::Digest digest = flight.record.ContentDigest();
     new_positions.push_back(pos);
-    flight.record.sigs.push_back(host_->signer_->Sign(AttestCanonical(
+    flight.sigs.push_back(host_->signer_->Sign(AttestCanonical(
         AttestPurpose::kTransmission, flight.record.src_site, pos, digest)));
   }
   // Stall accounting: an *episode* opens when admission is blocked purely
@@ -122,7 +115,7 @@ void CommDaemon::PumpPipeline() {
   // admission (partial drains count). Counting per pump invocation would
   // inflate the metric with poll ticks.
   if (!new_positions.empty()) window_stalled_ = false;
-  if (!geo_proof_wait && pos_it != positions.end() &&
+  if (!geo_certs_wait && pos_it != positions.end() &&
       flights_.size() >= window && !window_stalled_) {
     window_stalled_ = true;
     ++pipeline_stats().daemon_window_stalls;
@@ -132,8 +125,7 @@ void CommDaemon::PumpPipeline() {
   // nodes (our own plus f_i others) and ship, in scan order.
   for (uint64_t pos : new_positions) {
     Flight& flight = flights_.at(pos);
-    if (static_cast<int>(flight.record.sigs.size()) >=
-        host_->options_.fi + 1) {
+    if (static_cast<int>(flight.sigs.size()) >= host_->options_.fi + 1) {
       flight.sigs_complete = true;
       FinalizeProof(&flight);
       if (window_ctl_) {
@@ -174,11 +166,11 @@ void CommDaemon::OnAttestResponse(const AttestResponseMsg& response) {
     robustness_stats().msgs_rejected++;
     return;
   }
-  for (const crypto::Signature& existing : flight.record.sigs) {
+  for (const crypto::Signature& existing : flight.sigs) {
     if (existing.signer == sig.signer) return;  // duplicate
   }
-  flight.record.sigs.push_back(sig);
-  if (static_cast<int>(flight.record.sigs.size()) < host_->options_.fi + 1) {
+  flight.sigs.push_back(sig);
+  if (static_cast<int>(flight.sigs.size()) < host_->options_.fi + 1) {
     return;
   }
   flight.sigs_complete = true;
@@ -200,17 +192,15 @@ void CommDaemon::OnAttestResponse(const AttestResponseMsg& response) {
 }
 
 void CommDaemon::FinalizeProof(Flight* flight) {
-  if (!host_->options_.qc.enabled || !host_->options_.sign_messages) return;
   // Compress the completed f_i+1 signature set into one compact cert
   // (DESIGN.md §14). The constituent MACs were either produced by this
-  // node's own signer or verified on arrival (OnAttestResponse), so the
-  // aggregation is over trusted material. The vector is dropped: every
-  // Transmit of this flight — including widened retransmissions — now
-  // ships 48 proof bytes instead of 40*(f_i+1).
-  TransmissionRecord& record = flight->record;
-  record.sig_certs = {
-      crypto::BuildQuorumCert(record.src_site, record.sigs)};
-  record.sigs.clear();
+  // node's own signer or verified on arrival (OnAttestResponse, when
+  // signing), so the aggregation is over trusted material. Every Transmit
+  // of this flight, widened retransmissions included, ships the cert.
+  std::vector<crypto::QuorumCert>& certs = flight->record.certs;
+  certs.insert(certs.begin(),
+               crypto::BuildQuorumCert(flight->record.src_site, flight->sigs));
+  flight->sigs.clear();
   qc_stats().certs_built++;
 }
 
@@ -250,18 +240,11 @@ void CommDaemon::Transmit(Flight& flight, bool widen) {
   // unit in case some of the first picks are faulty.
   int receivers = widen ? 3 * host_->options_.fi + 1 : host_->options_.fi + 1;
   Bytes encoded = flight.record.Encode();
-  // Proof-byte accounting for the QC ablation (serial thread — the encode
-  // batch helpers never run this): the exact wire bytes the proof material
-  // (signature vectors or certs) contributes, once per receiver.
+  // Proof-byte accounting for the QC gate: the exact wire bytes the cert
+  // list contributes, once per receiver.
   {
     Encoder proof_enc;
-    crypto::EncodeProof(&proof_enc, flight.record.sigs);
-    crypto::EncodeProof(&proof_enc, flight.record.geo_proof);
-    if (!flight.record.sig_certs.empty() ||
-        !flight.record.geo_certs.empty()) {
-      crypto::EncodeCertList(&proof_enc, flight.record.sig_certs);
-      crypto::EncodeCertList(&proof_enc, flight.record.geo_certs);
-    }
+    crypto::EncodeCertList(&proof_enc, flight.record.certs);
     qc_stats().wan_proof_bytes +=
         static_cast<int64_t>(receivers * proof_enc.buffer().size());
   }

@@ -4,8 +4,9 @@
 // copy of the Local Log for communication records to that destination,
 // builds transmission records (message + pointer to the previous
 // communication record to the same destination), collects f_i+1 signatures
-// from local Blockplane nodes, pushes the record to nodes at the
-// destination, and retransmits until f_i+1 of them acknowledge the commit.
+// from local Blockplane nodes into one quorum certificate, pushes the
+// record to nodes at the destination, and retransmits until f_i+1 of them
+// acknowledge the commit.
 //
 // Transmissions are pipelined up to a window: the receiver's chain-pointer
 // verification guarantees in-order commitment regardless, so the daemon
@@ -63,6 +64,9 @@ class CommDaemon {
   /// One pipelined transmission.
   struct Flight {
     TransmissionRecord record;
+    /// Attestations collected so far; certified into record.certs once
+    /// f_i+1 distinct signers are in (FinalizeProof).
+    std::vector<crypto::Signature> sigs;
     bool sigs_complete = false;
     std::set<net::NodeId> ack_senders;
     sim::EventId retransmit_timer = sim::kInvalidEventId;
@@ -77,10 +81,9 @@ class CommDaemon {
   };
 
   void PumpPipeline();
-  /// Called once when a flight's f_i+1 signature set completes. With
-  /// qc.enabled, compresses the signature vector (and any geo proof) into
-  /// compact quorum certs (DESIGN.md §14) so every subsequent Transmit —
-  /// including widened retransmissions — ships certs instead of vectors.
+  /// Called once when a flight's f_i+1 signature set completes: certifies
+  /// it into one quorum cert (DESIGN.md §14) that every subsequent
+  /// Transmit, widened retransmissions included, ships.
   void FinalizeProof(Flight* flight);
   void OnTransmissionAck(const net::Message& msg);
   void OnRecvStatusReply(const net::Message& msg);

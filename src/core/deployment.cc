@@ -12,6 +12,11 @@ Deployment::Deployment(sim::Simulator* simulator, net::Topology topology,
       options_(options) {
   const int num_sites = network_.topology().num_sites();
   const int unit_size = 3 * options_.fi + 1;
+  // Every cross-site proof is a QuorumCert, whose 64-bit signer bitmap
+  // must cover a whole unit or mirror group (DESIGN.md §14).
+  BP_CHECK_MSG(unit_size <= 64,
+               "fi too large: a quorum certificate covers at most 64 signers "
+               "(3fi+1 <= 64)");
 
   // Mirror sets: each site's 2fg closest sites (by RTT), per §V.
   for (net::SiteId site = 0; site < num_sites; ++site) {

@@ -367,31 +367,21 @@ bool BlockplaneNode::VerifyReceivedAt(const LogRecord& record,
   if (record.src_log_pos <= last) return false;
   if (record.prev_src_log_pos != last) return false;
 
-  // (1) f_i+1 signatures from the source participant's unit. With quorum
-  // certificates (wire v2, DESIGN.md §14) the record carries one compact
-  // cert instead of the signature vector; repeats of the same cert hit the
-  // KeyStore's cert cache and elide the per-MAC re-verification entirely.
-  if (options_.sign_messages) {
-    Bytes canonical =
-        AttestCanonical(AttestPurpose::kTransmission, record.src_site,
-                        record.src_log_pos, record.ContentDigest());
-    if (!record.proof_certs.empty()) {
-      bool ok = false;
-      for (const crypto::QuorumCert& cert : record.proof_certs) {
-        if (cert.site != record.src_site) continue;
-        ok = keys_->VerifyCert(canonical, cert, options_.fi + 1);
-        break;
-      }
-      if (!ok) return false;
-    } else if (!keys_->VerifyProof(canonical, record.proof, record.src_site,
-                                   options_.fi + 1)) {
-      return false;
-    }
+  // (1) f_i+1 signatures from the source participant's unit, as one
+  // quorum certificate (DESIGN.md §14); repeats of the same cert hit the
+  // KeyStore's cert cache and elide the per-MAC re-verification.
+  if (!options_.sign_messages) return true;
+  if (!VerifySiteCert(AttestCanonical(AttestPurpose::kTransmission,
+                                      record.src_site, record.src_log_pos,
+                                      record.ContentDigest()),
+                      record.certs, record.src_site)) {
+    return false;
   }
 
   // (4) §V: with geo-correlated tolerance, the source must prove that fg
-  // other participants hold the record.
-  if (options_.fg > 0 && options_.sign_messages) {
+  // other participants hold the record: one cert per proving mirror site,
+  // i.e. every cert not naming the source.
+  if (options_.fg > 0) {
     LogRecord original;
     original.type = RecordType::kCommunication;
     original.routine_id = record.routine_id;
@@ -401,31 +391,29 @@ bool BlockplaneNode::VerifyReceivedAt(const LogRecord& record,
     crypto::Digest geo_digest = crypto::Sha256Digest(original.Encode());
 
     std::set<net::SiteId> proven;
-    if (!record.geo_certs.empty()) {
-      // Wire v2: one cert per proving mirror site.
-      for (const crypto::QuorumCert& cert : record.geo_certs) {
-        if (cert.site == record.src_site || cert.site < 0) continue;
-        if (cert.site >= network_->topology().num_sites()) continue;
-        Bytes canonical = AttestCanonical(AttestPurpose::kGeoAck, cert.site,
-                                          record.geo_pos, geo_digest);
-        if (keys_->VerifyCert(canonical, cert, options_.fi + 1)) {
-          proven.insert(cert.site);
-        }
-      }
-    } else {
-      for (int site = 0; site < network_->topology().num_sites(); ++site) {
-        if (site == record.src_site) continue;
-        Bytes canonical = AttestCanonical(AttestPurpose::kGeoAck, site,
-                                          record.geo_pos, geo_digest);
-        if (keys_->VerifyProof(canonical, record.geo_proof, site,
-                               options_.fi + 1)) {
-          proven.insert(site);
-        }
+    for (const crypto::QuorumCert& cert : record.certs) {
+      if (cert.site == record.src_site || cert.site < 0) continue;
+      if (cert.site >= network_->topology().num_sites()) continue;
+      Bytes canonical = AttestCanonical(AttestPurpose::kGeoAck, cert.site,
+                                        record.geo_pos, geo_digest);
+      if (keys_->VerifyCert(canonical, cert, options_.fi + 1)) {
+        proven.insert(cert.site);
       }
     }
     if (static_cast<int>(proven.size()) < options_.fg) return false;
   }
   return true;
+}
+
+bool BlockplaneNode::VerifySiteCert(
+    const Bytes& canonical, const std::vector<crypto::QuorumCert>& certs,
+    net::SiteId site) const {
+  for (const crypto::QuorumCert& cert : certs) {
+    if (cert.site == site) {
+      return keys_->VerifyCert(canonical, cert, options_.fi + 1);
+    }
+  }
+  return false;
 }
 
 bool BlockplaneNode::VerifyMirrored(const LogRecord& record,
@@ -472,18 +460,10 @@ bool BlockplaneNode::VerifyMirroredProof(const LogRecord& record,
     }
     return false;
   }
-  // Remote acting site: f_i+1 of its nodes must attest the record. With
-  // quorum certificates the attestations arrive as one compact cert, so
-  // backfill replays and buffered re-verification hit the cert cache.
-  if (!record.proof_certs.empty()) {
-    for (const crypto::QuorumCert& cert : record.proof_certs) {
-      if (cert.site != record.src_site) continue;
-      return keys_->VerifyCert(canonical, cert, options_.fi + 1);
-    }
-    return false;
-  }
-  return keys_->VerifyProof(canonical, record.proof, record.src_site,
-                            options_.fi + 1);
+  // Remote acting site: f_i+1 of its nodes must attest the record, as one
+  // cert, so backfill replays and buffered re-verification hit the cert
+  // cache.
+  return VerifySiteCert(canonical, record.certs, record.src_site);
 }
 
 void BlockplaneNode::OnExecute(uint64_t seq, const Bytes& value,
@@ -950,7 +930,7 @@ void BlockplaneNode::OnGeoReplicate(const net::Message& msg) {
   record.src_site = replicate.acting_site;
   record.geo_pos = replicate.geo_pos;
   record.proof = std::move(replicate.sigs);
-  record.proof_certs = std::move(replicate.sig_certs);
+  record.certs = std::move(replicate.certs);
 
   if (replicate.geo_pos > mirror_high_pos_ + 1) {
     // The geo stream moved past this mirror (e.g. the hosting site sat out
@@ -1044,8 +1024,7 @@ void BlockplaneNode::DrainMirrorBackfill() {
 void BlockplaneNode::OnGeoProofBundle(const net::Message& msg) {
   GeoProofBundleMsg bundle;
   if (!GeoProofBundleMsg::Decode(msg.body(), &bundle).ok()) return;
-  geo_proofs_[bundle.pos] = std::move(bundle.proof);
-  geo_proof_certs_[bundle.pos] = std::move(bundle.proof_certs);
+  geo_certs_[bundle.pos] = std::move(bundle.certs);
   for (auto& daemon : daemons_) daemon->NotifyLogAppend();
 }
 

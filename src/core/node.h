@@ -204,10 +204,15 @@ class BlockplaneNode : public net::Host {
                       const crypto::Digest* value_digest);
   /// The proof-only part of VerifyMirrored, shared with the admission
   /// projection and the backfill buffer. With a `value_digest` it reads and
-  /// fills the payload-digest memo; the signatures or cert are checked on
+  /// fills the payload-digest memo; the signature or cert is checked on
   /// every call.
   bool VerifyMirroredProof(const LogRecord& record,
                            const crypto::Digest* value_digest);
+  /// True when `certs` holds a cert of `site` carrying f_i+1 valid MACs
+  /// over `canonical`; only the first cert naming `site` is tried.
+  bool VerifySiteCert(const Bytes& canonical,
+                      const std::vector<crypto::QuorumCert>& certs,
+                      net::SiteId site) const;
   /// Position of the last communication record to `dest` before `pos`.
   uint64_t PrevCommPos(net::SiteId dest, uint64_t pos) const;
 
@@ -256,12 +261,9 @@ class BlockplaneNode : public net::Host {
   std::unordered_map<net::SiteId, uint64_t> last_received_pos_;
   /// Communication records per destination (positions, in order).
   std::unordered_map<net::SiteId, std::vector<uint64_t>> comm_positions_;
-  /// Geo proofs attached by the participant, by log position.
-  std::unordered_map<uint64_t, std::vector<crypto::Signature>> geo_proofs_;
-  /// Wire v2 (qc.enabled): per-mirror-site certificates delivered alongside
-  /// (or in place of) the geo proofs, keyed the same way.
-  std::unordered_map<uint64_t, std::vector<crypto::QuorumCert>>
-      geo_proof_certs_;
+  /// Geo proofs bundled by the participant, by log position: one
+  /// certificate per mirror site (DESIGN.md §14).
+  std::unordered_map<uint64_t, std::vector<crypto::QuorumCert>> geo_certs_;
 
   /// Count of API records (log-commit + communication) executed so far —
   /// the geo-replication stream position of the latest API record.

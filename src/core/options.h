@@ -27,20 +27,10 @@ struct CongestionOptions {
   sim::SimTime min_rto = sim::Milliseconds(5);
 };
 
-/// Quorum-certificate aggregation (DESIGN.md §14). Off by default: records
-/// carry plain f_i+1 signature vectors and every hop runs VerifyProof, so
-/// fig4–fig8, golden traces, and same-seed JSON exports stay bit-identical.
-struct QuorumCertOptions {
-  /// Master switch: completed proofs are compressed into one compact
-  /// crypto::QuorumCert per (decision, site), carried on the wire in place
-  /// of the signature vector, and verified once per receiver through the
-  /// KeyStore's digest-keyed cert cache.
-  bool enabled = false;
-};
-
 struct BlockplaneOptions {
   /// Tolerated independent byzantine failures per unit (f_i). Each
-  /// participant runs 3*fi + 1 Blockplane nodes.
+  /// participant runs 3*fi + 1 Blockplane nodes; a quorum certificate's
+  /// 64-bit signer bitmap bounds that at 64 (fi <= 21, DESIGN.md §14).
   int fi = 1;
   /// Tolerated benign geo-correlated (datacenter) failures (f_g). When
   /// positive, each participant mirrors its Local Log on its 2*fg closest
@@ -90,13 +80,11 @@ struct BlockplaneOptions {
   /// above (DESIGN.md §13). congestion.adaptive defaults to false.
   CongestionOptions congestion;
 
-  /// Quorum-certificate aggregation (DESIGN.md §14). qc.enabled defaults
-  /// to false.
-  QuorumCertOptions qc;
-
   /// Bench-mode switch mirroring the paper's prototype, which "does not
   /// implement creating and checking signatures and digests". Payload
-  /// digests are always SHA-256 (DESIGN.md §7).
+  /// digests are always SHA-256 (DESIGN.md §7). Off skips the receive-side
+  /// signature and certificate checks only: attestations are still signed
+  /// and certified, so both modes ship the same wire format.
   bool sign_messages = true;
 
   /// When positive, each node keeps only this many recent non-communication

@@ -312,13 +312,10 @@ void Participant::OnAttestResponse(const net::Message& msg) {
   }
   round.source_sigs.push_back(response.sig);
   if (static_cast<int>(round.source_sigs.size()) == options_.fi + 1) {
-    if (options_.qc.enabled && options_.sign_messages) {
-      // Compress the attestation vector once; every replicate fan-out
-      // (including retries) ships this same certificate (DESIGN.md §14).
-      round.source_certs = {
-          crypto::BuildQuorumCert(site_, round.source_sigs)};
-      qc_stats().certs_built++;
-    }
+    // Certify the attestations once; every replicate fan-out (including
+    // retries) ships this same certificate (DESIGN.md §14).
+    round.source_certs = {crypto::BuildQuorumCert(site_, round.source_sigs)};
+    qc_stats().certs_built++;
     round.ts_attested = sim_->Now();
     Tracer& tr = tracer();
     if (tr.enabled() && round.trace != kNoTrace) {
@@ -408,13 +405,7 @@ void Participant::ReplicateRound(uint64_t geo_pos) {
   replicate.acting_site = site_;
   replicate.geo_pos = round.geo_pos;
   replicate.record = round.record_encoded;
-  replicate.sigs = round.source_sigs;
-  if (!round.source_certs.empty()) {
-    // Quorum-cert mode: ship the compact certificate in place of the
-    // f_i+1 signature vector (wire v2 trailing section).
-    replicate.sig_certs = round.source_certs;
-    replicate.sigs.clear();
-  }
+  replicate.certs = round.source_certs;
   Bytes encoded = replicate.Encode();
   for (net::SiteId target : round.targets) {
     if (round.ack_sigs.count(target) > 0) continue;  // already proven
@@ -476,14 +467,9 @@ void Participant::FinishGeoRound(uint64_t geo_pos) {
     GeoProofBundleMsg bundle;
     bundle.pos = round.unit_pos;
     for (auto& [site, sigs] : round.ack_sigs) {
-      if (options_.qc.enabled && options_.sign_messages) {
-        // One compact cert per mirror site in place of the flattened
-        // signature vector (DESIGN.md §14).
-        bundle.proof_certs.push_back(crypto::BuildQuorumCert(site, sigs));
-        qc_stats().certs_built++;
-      } else {
-        bundle.proof.insert(bundle.proof.end(), sigs.begin(), sigs.end());
-      }
+      // One cert per mirror site (DESIGN.md §14).
+      bundle.certs.push_back(crypto::BuildQuorumCert(site, sigs));
+      qc_stats().certs_built++;
     }
     Bytes encoded = bundle.Encode();
     for (const net::NodeId& node : unit_group_.nodes) {
@@ -670,6 +656,7 @@ void Participant::OnMirrorEntry(const net::Message& msg) {
   replicate.geo_pos = outer.geo_pos;
   replicate.record = std::move(outer.payload);
   replicate.sigs = std::move(outer.proof);
+  replicate.certs = std::move(outer.certs);
   Bytes encoded = replicate.Encode();
   for (int i = 0; i < options_.fi + 1; ++i) {
     SendTo(MirrorNodeId(site_, entry.origin_site, i), kGeoReplicate,

@@ -15,26 +15,6 @@ Status GetSite(Decoder* dec, net::SiteId* site) {
   return Status::OK();
 }
 
-/// Trailing optional cert section (wire v2, DESIGN.md §14): emitted only
-/// when at least one list is non-empty, so qc-off encodings are
-/// byte-identical to v1. Decoders detect presence via AtEnd().
-void PutCertSection(Encoder* enc, const std::vector<crypto::QuorumCert>& a,
-                    const std::vector<crypto::QuorumCert>& b) {
-  if (a.empty() && b.empty()) return;
-  crypto::EncodeCertList(enc, a);
-  crypto::EncodeCertList(enc, b);
-}
-
-Status GetCertSection(Decoder* dec, std::vector<crypto::QuorumCert>* a,
-                      std::vector<crypto::QuorumCert>* b) {
-  a->clear();
-  b->clear();
-  if (dec->AtEnd()) return Status::OK();
-  BP_RETURN_NOT_OK(crypto::DecodeCertList(dec, a));
-  BP_RETURN_NOT_OK(crypto::DecodeCertList(dec, b));
-  return Status::OK();
-}
-
 }  // namespace
 
 Bytes LogRecord::Encode() const {
@@ -48,8 +28,7 @@ Bytes LogRecord::Encode() const {
   enc.PutU64(prev_src_log_pos);
   enc.PutU64(geo_pos);
   crypto::EncodeProof(&enc, proof);
-  crypto::EncodeProof(&enc, geo_proof);
-  PutCertSection(&enc, proof_certs, geo_certs);
+  crypto::EncodeCertList(&enc, certs);
   return enc.Take();
 }
 
@@ -67,9 +46,7 @@ Status LogRecord::Decode(const Bytes& buf, LogRecord* out) {
   BP_RETURN_NOT_OK(dec.GetU64(&out->prev_src_log_pos));
   BP_RETURN_NOT_OK(dec.GetU64(&out->geo_pos));
   BP_RETURN_NOT_OK(crypto::DecodeProof(&dec, &out->proof));
-  BP_RETURN_NOT_OK(crypto::DecodeProof(&dec, &out->geo_proof));
-  BP_RETURN_NOT_OK(GetCertSection(&dec, &out->proof_certs, &out->geo_certs));
-  return Status::OK();
+  return crypto::DecodeCertList(&dec, &out->certs);
 }
 
 crypto::Digest LogRecord::ContentDigest() const {
@@ -120,9 +97,7 @@ Bytes TransmissionRecord::Encode() const {
   enc.PutVarint(routine_id);
   enc.PutBytes(payload);
   enc.PutU64(geo_pos);
-  crypto::EncodeProof(&enc, sigs);
-  crypto::EncodeProof(&enc, geo_proof);
-  PutCertSection(&enc, sig_certs, geo_certs);
+  crypto::EncodeCertList(&enc, certs);
   return enc.Take();
 }
 
@@ -135,10 +110,7 @@ Status TransmissionRecord::Decode(const Bytes& buf, TransmissionRecord* out) {
   BP_RETURN_NOT_OK(dec.GetVarint(&out->routine_id));
   BP_RETURN_NOT_OK(dec.GetBytes(&out->payload));
   BP_RETURN_NOT_OK(dec.GetU64(&out->geo_pos));
-  BP_RETURN_NOT_OK(crypto::DecodeProof(&dec, &out->sigs));
-  BP_RETURN_NOT_OK(crypto::DecodeProof(&dec, &out->geo_proof));
-  BP_RETURN_NOT_OK(GetCertSection(&dec, &out->sig_certs, &out->geo_certs));
-  return Status::OK();
+  return crypto::DecodeCertList(&dec, &out->certs);
 }
 
 LogRecord TransmissionRecord::ToReceivedRecord() const {
@@ -151,10 +123,7 @@ LogRecord TransmissionRecord::ToReceivedRecord() const {
   record.src_log_pos = src_log_pos;
   record.prev_src_log_pos = prev_src_log_pos;
   record.geo_pos = geo_pos;
-  record.proof = sigs;
-  record.geo_proof = geo_proof;
-  record.proof_certs = sig_certs;
-  record.geo_certs = geo_certs;
+  record.certs = certs;
   return record;
 }
 

@@ -75,22 +75,21 @@ struct LogRecord {
   /// Position of the previous communication record from the same source to
   /// this destination (0 if none) — the in-order chain pointer.
   uint64_t prev_src_log_pos = 0;
-  /// f_i+1 source-unit signatures over the transmission canonical bytes,
-  /// embedded so every replica can run the receive verification routine.
-  std::vector<crypto::Signature> proof;
-  /// With fg > 0: per mirror site, f_i+1 signatures proving the source
-  /// participant's geo-replication of this record.
-  std::vector<crypto::Signature> geo_proof;
   /// Position in the origin participant's geo-replication stream (counts
   /// API records only; 0 when fg == 0). For kMirrored records this is the
   /// mirror-log position.
   uint64_t geo_pos = 0;
-  /// Wire v2 (qc.enabled): compact certificates standing in for `proof` /
-  /// `geo_proof`. Encoded as a trailing optional section, emitted only when
-  /// non-empty — v1 (qc off) encodings stay byte-identical, and a v1
-  /// decoder's trailing bytes are simply these sections.
-  std::vector<crypto::QuorumCert> proof_certs;
-  std::vector<crypto::QuorumCert> geo_certs;
+  /// kMirrored committed by the locally acting participant: its own
+  /// signature over the geo-source canonical bytes (DESIGN.md §14).
+  std::vector<crypto::Signature> proof;
+  /// The f_i+1 attestations, one quorum certificate per attesting site
+  /// (DESIGN.md §14); the cert's site says what it proves. kReceived: the
+  /// source unit's cert over the transmission canonical bytes, embedded so
+  /// every replica can run the receive verification routine, and with
+  /// fg > 0 one cert per mirror site proving the source participant's
+  /// geo-replication of this record. kMirrored from a remote acting site:
+  /// that site's cert over the geo-source canonical bytes.
+  std::vector<crypto::QuorumCert> certs;
 
   Bytes Encode() const;
   static Status Decode(const Bytes& buf, LogRecord* out);
@@ -100,7 +99,7 @@ struct LogRecord {
   crypto::Digest ContentDigest() const;
 };
 
-/// True when `a` and `b` agree on every field ContentDigest covers (proofs
+/// True when `a` and `b` agree on every field ContentDigest covers (proof
 /// and certs excluded), i.e. exactly when their content digests are equal —
 /// without encoding or hashing either record. Quorum reads match replies
 /// with it.
@@ -120,7 +119,7 @@ Bytes AttestCanonical(AttestPurpose purpose, net::SiteId site, uint64_t pos,
 
 /// A transmission record P (§IV-C): the message content plus a pointer to
 /// the previous communication record to the same destination, carried with
-/// f_i+1 signatures from the source unit.
+/// the certificate of f_i+1 signatures from the source unit.
 struct TransmissionRecord {
   net::SiteId src_site = -1;
   net::SiteId dest_site = -1;
@@ -129,12 +128,9 @@ struct TransmissionRecord {
   uint64_t routine_id = 0;
   Bytes payload;
   uint64_t geo_pos = 0;  // geo-replication stream position (fg > 0)
-  std::vector<crypto::Signature> sigs;       // f_i+1 from the source unit
-  std::vector<crypto::Signature> geo_proof;  // fg extension (§V)
-  /// Wire v2 (qc.enabled): certificates standing in for `sigs`/`geo_proof`
-  /// — trailing optional section, absent when both are empty.
-  std::vector<crypto::QuorumCert> sig_certs;
-  std::vector<crypto::QuorumCert> geo_certs;
+  /// The source unit's cert, plus one cert per mirror site with fg > 0
+  /// (§V) — as LogRecord::certs of the kReceived record.
+  std::vector<crypto::QuorumCert> certs;
 
   /// The digest the source unit's attestations cover.
   crypto::Digest ContentDigest() const;

@@ -68,12 +68,11 @@ struct GeoReplicateMsg {
   net::SiteId acting_site = -1;  // the (current) primary issuing the record
   uint64_t geo_pos = 0;
   Bytes record;  // encoded origin LogRecord
-  /// f_i+1 attestations from the acting site (empty when the mirror group
-  /// is hosted at the acting site itself).
+  /// Reconciliation replay into the acting site's own mirror group: the
+  /// participant's one signature the stored record carries (LogRecord::proof).
   std::vector<crypto::Signature> sigs;
-  /// Wire v2 (qc.enabled): certificates standing in for `sigs` — trailing
-  /// optional section, absent when empty.
-  std::vector<crypto::QuorumCert> sig_certs;
+  /// The acting site's quorum certificate over the record (DESIGN.md §14).
+  std::vector<crypto::QuorumCert> certs;
 
   Bytes Encode() const;
   static Status Decode(const Bytes& buf, GeoReplicateMsg* out);
@@ -156,10 +155,8 @@ struct LogSyncReplyMsg {
 
 struct GeoProofBundleMsg {
   uint64_t pos = 0;  // unit log position of the communication record
-  std::vector<crypto::Signature> proof;
-  /// Wire v2 (qc.enabled): one certificate per mirror site standing in for
-  /// `proof` — trailing optional section, absent when empty.
-  std::vector<crypto::QuorumCert> proof_certs;
+  /// One quorum certificate per mirror site that holds the record.
+  std::vector<crypto::QuorumCert> certs;
 
   Bytes Encode() const;
   static Status Decode(const Bytes& buf, GeoProofBundleMsg* out);

@@ -146,8 +146,8 @@ bool KeyStore::VerifyCert(const Bytes& msg, const QuorumCert& cert,
   VerifiedCert probe{cert.site, cert.index_base, cert.signer_bits, cert.agg,
                      msg};
   if (verify_cache_capacity_ > 0 && CertCacheLookup(probe)) {
-    // One probe answers for every constituent MAC: the f_i+1 individual
-    // verifications VerifyProof would have run are elided wholesale.
+    // One probe answers for every constituent MAC: the cert's f_i+1
+    // individual verifications are elided wholesale.
     qc_stats().cache_hits++;
     qc_stats().verifies_elided += cert.signer_count();
     return true;

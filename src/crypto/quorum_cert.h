@@ -1,11 +1,10 @@
 // bplint:wire-coverage — every field below must appear in Encode,
 // Decode, and (where a digest exists) the digest path (BP003).
-// Quorum certificates: one compact, canonically-encoded certificate in
-// place of an f_i+1 signature vector (DESIGN.md §14).
+// Quorum certificates: the one format in which a completed f_i+1 proof
+// travels between sites and is checked (DESIGN.md §14).
 //
-// A transmission record today carries f_i+1 individual HMAC signatures;
-// every hop re-walks the vector and re-checks each entry. A QuorumCert
-// compresses the vector into
+// A unit collects f_i+1 individual HMAC attestations, then compresses
+// them into
 //
 //   * the site whose nodes signed,
 //   * a sorted signer bitmap (bit k set = node index k contributed), and
@@ -41,8 +40,8 @@ struct QuorumCert {
   /// the bitmap 64 bits regardless of where the group sits.
   int32_t index_base = 0;
   /// Bit k set = node index `index_base + k` of `site` contributed its
-  /// MAC. A group is 3f_i+1 nodes, so 64 bits is plenty; signers further
-  /// than 64 from the base cannot be certified and fall back to vectors.
+  /// MAC. A group is 3f_i+1 dense nodes, and Deployment rejects any f_i
+  /// with 3f_i+1 > 64, so every group member fits the bitmap.
   uint64_t signer_bits = 0;
   /// SHA-256 over the constituent MACs, ascending signer index.
   Digest agg{};
@@ -61,14 +60,14 @@ struct QuorumCert {
 };
 
 /// Builds the certificate aggregating `sigs` (all signatures whose signer
-/// belongs to `site`; other sites' entries and out-of-range indices are
-/// ignored, duplicates keep the first occurrence). The constituent MACs
-/// are assumed verified by the caller — honest builders aggregate only
-/// signatures they collected and checked themselves.
+/// belongs to `site`; other sites' entries and indices 64 or more above
+/// the lowest are ignored, duplicates keep the first occurrence). The
+/// constituent MACs are assumed verified by the caller — honest builders
+/// aggregate only signatures they collected and checked themselves.
 QuorumCert BuildQuorumCert(net::SiteId site,
                            const std::vector<Signature>& sigs);
 
-/// Wire helpers for cert lists, mirroring EncodeProof/DecodeProof.
+/// Wire helpers for cert lists.
 void EncodeCertList(Encoder* enc, const std::vector<QuorumCert>& certs);
 Status DecodeCertList(Decoder* dec, std::vector<QuorumCert>* out);
 

@@ -1,7 +1,6 @@
 #include "crypto/signer.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/codec.h"
 #include "common/metrics.h"
@@ -88,25 +87,6 @@ bool KeyStore::VerifyDetached(const uint8_t* msg, size_t len,
   auto it = keys_.find(sig.signer);
   if (it == keys_.end()) return false;
   return it->second.hmac.SignDetached(msg, len) == sig.mac;
-}
-
-bool KeyStore::VerifyProof(const Bytes& msg,
-                           const std::vector<Signature>& proof,
-                           net::SiteId site, int threshold) const {
-  std::set<int32_t> seen_indices;
-  int valid = 0;
-  for (const Signature& sig : proof) {
-    if (sig.signer.site != site) continue;
-    // A repeated signer index within the target site rejects the whole
-    // proof, valid MAC or not: honest collection paths dedup by signer, so
-    // a duplicate is a forgery attempt at double-counting one signature.
-    // (Other sites' indices may legitimately collide — geo proofs carry
-    // every mirror site's acks in one vector — hence the site filter first.)
-    if (!seen_indices.insert(sig.signer.index).second) return false;
-    qc_stats().proof_sig_verifies++;
-    if (Verify(msg, sig)) ++valid;
-  }
-  return valid >= threshold;
 }
 
 void EncodeSignature(Encoder* enc, const Signature& sig) {

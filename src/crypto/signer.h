@@ -69,15 +69,6 @@ class KeyStore {
   bool VerifyDetached(const uint8_t* msg, size_t len,
                       const Signature& sig) const;
 
-  /// Verifies a proof: at least `threshold` valid signatures over `msg` from
-  /// *distinct* nodes of site `site`. Invalid signatures and other sites'
-  /// entries are ignored (a malicious sender may pad the list), but a
-  /// duplicated signer index *within* `site` rejects the whole proof: an
-  /// honest unit never emits one (every collection path dedups by signer),
-  /// so a duplicate is a forgery attempt at counting one signature twice.
-  bool VerifyProof(const Bytes& msg, const std::vector<Signature>& proof,
-                   net::SiteId site, int threshold) const;
-
   /// Verifies a quorum certificate (crypto/quorum_cert.h, DESIGN.md §14):
   /// at least `threshold` signers in the bitmap, every listed MAC
   /// recomputed from registered key material, aggregate compared. Consults

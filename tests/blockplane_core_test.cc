@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -196,20 +198,22 @@ TEST(BlockplaneCoreTest, UserVerificationRoutineBlocksBadCommits) {
 
 TEST(BlockplaneCoreTest, ForgedTransmissionIsRejected) {
   CoreHarness harness;
-  // A malicious node fabricates a transmission record with bogus
-  // signatures and pushes it at Oregon's unit.
+  // A malicious node fabricates a transmission record with a bogus
+  // certificate and pushes it at Oregon's unit.
   TransmissionRecord forged;
   forged.src_site = kCalifornia;
   forged.dest_site = kOregon;
   forged.src_log_pos = 1;
   forged.prev_src_log_pos = 0;
   forged.payload = ToBytes("increment your counter, trust me");
-  crypto::Signature bogus;
-  bogus.signer = {kCalifornia, 0};
-  forged.sigs = {bogus, bogus};
+  crypto::QuorumCert bogus;
+  bogus.site = kCalifornia;
+  bogus.signer_bits = 0b11;  // claims nodes 0 and 1; the aggregate is zero
+  forged.certs = {bogus};
 
-  // Register the claimed signer so verification runs (and fails on MAC).
+  // Register the claimed signers so verification runs (and fails on MAC).
   harness.deployment_.keys()->RegisterNode({kCalifornia, 0});
+  harness.deployment_.keys()->RegisterNode({kCalifornia, 1});
   net::Message msg;
   msg.src = {kCalifornia, 3};
   msg.dst = {kOregon, 0};
@@ -260,10 +264,11 @@ TEST(BlockplaneCoreTest, DuplicateTransmissionCommitsOnce) {
 }
 
 TEST(BlockplaneCoreTest, ReceiveVerdictTableChecksPositionsFirst) {
-  // {position fresh, duplicate, gap} x {proof valid, forged}: only a fresh
-  // position with a valid f_i+1 proof enters Oregon's Local Log, and a
-  // duplicate or a gap is refused before a single proof signature is
-  // checked.
+  // {position fresh, duplicate, gap} x {cert valid, forged}: only a fresh
+  // position with a valid f_i+1 cert enters Oregon's Local Log, and a
+  // duplicate or a gap is refused before a single cert MAC is checked.
+  // Certs under the f_i+1 threshold or naming another site are refused
+  // too.
   CoreHarness harness;
   Bytes received;
   ASSERT_TRUE(harness.SendAndDeliver(kCalifornia, kOregon, "genuine",
@@ -279,11 +284,8 @@ TEST(BlockplaneCoreTest, ReceiveVerdictTableChecksPositionsFirst) {
   }
   ASSERT_GT(last, 0u);
 
-  std::vector<std::unique_ptr<crypto::Signer>> signers;
-  for (int i = 0; i < 2; ++i) {  // f_i + 1 with the default f_i = 1
-    signers.push_back(harness.deployment_.keys()->RegisterNode({kCalifornia, i}));
-  }
-  auto craft = [&](uint64_t pos, uint64_t chained_after, bool valid) {
+  enum Cert { kValid, kForged, kOneSigner, kOtherSite };
+  auto craft = [&](uint64_t pos, uint64_t chained_after, Cert kind) {
     TransmissionRecord tr;
     tr.src_site = kCalifornia;
     tr.dest_site = kOregon;
@@ -293,11 +295,19 @@ TEST(BlockplaneCoreTest, ReceiveVerdictTableChecksPositionsFirst) {
     Bytes canonical =
         AttestCanonical(AttestPurpose::kTransmission, kCalifornia, pos,
                         tr.ToReceivedRecord().ContentDigest());
-    for (const auto& signer : signers) {
-      crypto::Signature sig = signer->Sign(canonical);
-      if (!valid) sig.mac[0] ^= 0x01;
-      tr.sigs.push_back(sig);
+    // f_i + 1 = 2 signers with the default f_i = 1; one for kOneSigner.
+    // kOtherSite's signers are Virginia's nodes, so its cert is genuine
+    // but names a site that did not send the record.
+    const net::SiteId signing_site =
+        kind == kOtherSite ? kVirginia : kCalifornia;
+    std::vector<crypto::Signature> sigs;
+    for (int i = 0; i < (kind == kOneSigner ? 1 : 2); ++i) {
+      sigs.push_back(harness.deployment_.keys()
+                         ->RegisterNode({signing_site, i})
+                         ->Sign(canonical));
     }
+    if (kind == kForged) sigs[0].mac[0] ^= 0x01;
+    tr.certs = {crypto::BuildQuorumCert(signing_site, sigs)};
     return tr;
   };
   struct Row {
@@ -309,13 +319,17 @@ TEST(BlockplaneCoreTest, ReceiveVerdictTableChecksPositionsFirst) {
   // Every row claims its own position, so no row's submission state at the
   // destination carries over into another; the accepted row runs last, as
   // it moves the reception watermark.
+  // The under-threshold rows are refused before any MAC: VerifyCert
+  // counts signers first, and a cert of another site is never tried.
   const std::vector<Row> rows = {
-      {"duplicate+valid", craft(last, prev, true), false, false},
-      {"duplicate+forged", craft(last, prev, false), false, false},
-      {"gap+valid", craft(last + 3, last + 2, true), false, false},
-      {"gap+forged", craft(last + 5, last + 4, false), false, false},
-      {"fresh+forged", craft(last + 6, last, false), false, true},
-      {"fresh+valid", craft(last + 7, last, true), true, true},
+      {"duplicate+valid", craft(last, prev, kValid), false, false},
+      {"duplicate+forged", craft(last, prev, kForged), false, false},
+      {"gap+valid", craft(last + 3, last + 2, kValid), false, false},
+      {"gap+forged", craft(last + 5, last + 4, kForged), false, false},
+      {"fresh+one-signer", craft(last + 8, last, kOneSigner), false, false},
+      {"fresh+other-site", craft(last + 9, last, kOtherSite), false, false},
+      {"fresh+forged", craft(last + 6, last, kForged), false, true},
+      {"fresh+valid", craft(last + 7, last, kValid), true, true},
   };
   for (const Row& row : rows) {
     const size_t log_size = harness.deployment_.node(kOregon, 0)->log_size();
@@ -583,11 +597,25 @@ TEST(BlockplaneGeoTest, SendCarriesGeoProofs) {
                                      &received, Seconds(120)));
   EXPECT_EQ(ToString(received), "geo send");
   harness.simulator_.RunFor(Seconds(1));
-  // The received record embeds a non-empty geo proof.
+  // The received record embeds the source unit's cert first, then one
+  // geo cert per proving mirror site (fg = 1), each of f_i+1 signers.
   const auto& log = harness.deployment_.node(kVirginia, 0)->log();
   ASSERT_GE(log.size(), 1u);
-  EXPECT_EQ(log.at(1).type, RecordType::kReceived);
-  EXPECT_FALSE(log.at(1).geo_proof.empty());
+  const LogRecord& record = log.at(1);
+  EXPECT_EQ(record.type, RecordType::kReceived);
+  ASSERT_GE(record.certs.size(), 2u);
+  EXPECT_EQ(record.certs[0].site, kCalifornia);
+  std::set<net::SiteId> geo_sites;
+  for (size_t i = 1; i < record.certs.size(); ++i) {
+    EXPECT_NE(record.certs[i].site, kCalifornia);
+    EXPECT_GE(record.certs[i].signer_count(), options.fi + 1);
+    geo_sites.insert(record.certs[i].site);
+  }
+  const std::vector<net::SiteId>& mirrors =
+      harness.deployment_.mirror_sites_of(kCalifornia);
+  for (net::SiteId site : geo_sites) {
+    EXPECT_NE(std::find(mirrors.begin(), mirrors.end(), site), mirrors.end());
+  }
 }
 
 // --- property sweeps ----------------------------------------------------------

@@ -221,7 +221,7 @@ TEST(ByzantineEndToEndTest, ReplayedWireCannotDoubleCredit) {
   replay.prev_src_log_pos = wire->prev_src_log_pos;
   replay.routine_id = wire->routine_id;
   replay.payload = wire->payload;
-  replay.sigs = wire->proof;  // genuine signatures, replayed
+  replay.certs = wire->certs;  // the genuine cert, replayed
   for (int i = 0; i < 4; ++i) {
     net::Message msg;
     msg.src = {kCalifornia, 3};
@@ -273,7 +273,7 @@ TEST(ByzantineEndToEndTest, ForgedTransmissionRejectedAfterCachesArePrimed) {
   forged.prev_src_log_pos = wire->src_log_pos;
   forged.routine_id = wire->routine_id;
   forged.payload = ToBytes("forged credit of 1000 coins");
-  forged.sigs = wire->proof;  // genuine signatures over other bytes
+  forged.certs = wire->certs;  // genuine cert over other bytes
   for (int i = 0; i < 4; ++i) {
     net::Message msg;
     msg.src = {kCalifornia, 3};
@@ -291,17 +291,15 @@ TEST(ByzantineEndToEndTest, ForgedTransmissionRejectedAfterCachesArePrimed) {
 }
 
 TEST(ByzantineEndToEndTest, ForgedCertCannotVouchForNewContent) {
-  // The quorum-cert analogue of the primed-cache forgery (DESIGN.md §14):
-  // with qc.enabled, transmissions carry one compact certificate instead
-  // of f_i+1 signatures, and the KeyStore memoizes *successfully verified*
-  // (cert, message) pairs. A byzantine daemon that replays a genuine
-  // certificate under different content must take — and fail — the full
-  // aggregate recomputation: the cache key binds the canonical bytes, so
-  // no cached entry can vouch for bytes it never certified.
+  // The quorum-cert form of the primed-cache forgery (DESIGN.md §14):
+  // transmissions carry one compact certificate, and the KeyStore
+  // memoizes *successfully verified* (cert, message) pairs. A byzantine
+  // daemon that replays a genuine certificate under different content must
+  // take — and fail — the full aggregate recomputation: the cache key
+  // binds the canonical bytes, so no cached entry can vouch for bytes it
+  // never certified.
   sim::Simulator simulator(47);
-  BlockplaneOptions options;
-  options.qc.enabled = true;
-  Deployment deployment(&simulator, Topology::Aws4(), options);
+  Deployment deployment(&simulator, Topology::Aws4(), {});
   protocols::BankLedger bank(&deployment);
 
   qc_stats().Reset();
@@ -324,7 +322,7 @@ TEST(ByzantineEndToEndTest, ForgedCertCannotVouchForNewContent) {
     if (record.type == RecordType::kReceived) wire = &record;
   }
   ASSERT_NE(wire, nullptr);
-  ASSERT_FALSE(wire->proof_certs.empty());
+  ASSERT_FALSE(wire->certs.empty());
   TransmissionRecord forged;
   forged.src_site = kCalifornia;
   forged.dest_site = kIreland;
@@ -332,7 +330,7 @@ TEST(ByzantineEndToEndTest, ForgedCertCannotVouchForNewContent) {
   forged.prev_src_log_pos = wire->src_log_pos;
   forged.routine_id = wire->routine_id;
   forged.payload = ToBytes("forged credit of 1000 coins");
-  forged.sig_certs = wire->proof_certs;  // genuine cert over other bytes
+  forged.certs = wire->certs;  // genuine cert over other bytes
   for (int i = 0; i < 4; ++i) {
     net::Message msg;
     msg.src = {kCalifornia, 3};
@@ -425,9 +423,9 @@ LogRecord ReadTarget() {
 }
 
 TEST(ByzantineEndToEndTest, QuorumReadMatchesContentNotProofs) {
-  // Honest nodes can hold one entry with different proof vectors (which
-  // f_i+1 source nodes signed is a race), so a quorum read matches content
-  // only, and hands back the first matching reply's record as received.
+  // Honest nodes can hold one entry with different certs (which f_i+1
+  // source nodes signed is a race), so a quorum read matches content only,
+  // and hands back the first matching reply's record as received.
   sim::Simulator simulator(43);
   Deployment deployment(&simulator, Topology::Aws4(), {});
   Participant* participant = deployment.participant(kCalifornia);
@@ -444,10 +442,11 @@ TEST(ByzantineEndToEndTest, QuorumReadMatchesContentNotProofs) {
   LogRecord first;
   for (int i = 0; i < 3; ++i) {
     LogRecord reply = ReadTarget();
-    crypto::Signature sig;
-    sig.signer = net::NodeId{kOregon, i};
-    sig.mac.fill(static_cast<uint8_t>(i));
-    reply.proof.push_back(sig);
+    crypto::QuorumCert cert;
+    cert.site = kOregon;
+    cert.signer_bits = uint64_t{0b11} << i;
+    cert.agg.fill(static_cast<uint8_t>(i));
+    reply.certs.push_back(cert);
     if (i == 0) first = reply;
     EXPECT_FALSE(done) << "completed after " << i << " replies";
     InjectReadReply(participant, i, 1, &reply);
@@ -523,11 +522,13 @@ TEST(ByzantineEndToEndTest, MirrorDigestMemoCannotVouchForATamperedPayload) {
   Bytes canonical =
       AttestCanonical(AttestPurpose::kGeoSource, kCalifornia, 1,
                       crypto::Sha256Digest(honest.payload));
+  std::vector<crypto::Signature> sigs;
   for (int i = 0; i < 2; ++i) {
-    honest.proof.push_back(deployment.keys()
-                               ->RegisterNode(net::NodeId{kCalifornia, i})
-                               ->Sign(canonical));
+    sigs.push_back(deployment.keys()
+                       ->RegisterNode(net::NodeId{kCalifornia, i})
+                       ->Sign(canonical));
   }
+  honest.certs = {crypto::BuildQuorumCert(kCalifornia, sigs)};
   LogRecord tampered = honest;
   inner.payload[0] ^= 0x01;
   tampered.payload = inner.Encode();

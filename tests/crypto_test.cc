@@ -12,6 +12,7 @@
 #include "common/codec.h"
 #include "common/metrics.h"
 #include "crypto/hmac.h"
+#include "crypto/quorum_cert.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_kernels.h"
 #include "crypto/signer.h"
@@ -125,23 +126,28 @@ TEST(SignerTest, RegisterIsIdempotent) {
   EXPECT_EQ(a->Sign(msg).mac, b->Sign(msg).mac);
 }
 
+// A completed f_i+1 proof travels as one QuorumCert (DESIGN.md §14); these
+// pin the proof semantics the cert keeps: distinct signers of one site,
+// counted against a threshold, every MAC valid.
+
 TEST(ProofTest, ThresholdOfDistinctSigners) {
   KeyStore store;
   auto s0 = store.RegisterNode({0, 0});
   auto s1 = store.RegisterNode({0, 1});
   Bytes msg = ToBytes("transmission record");
-  std::vector<Signature> proof = {s0->Sign(msg), s1->Sign(msg)};
-  EXPECT_TRUE(store.VerifyProof(msg, proof, /*site=*/0, /*threshold=*/2));
-  EXPECT_FALSE(store.VerifyProof(msg, proof, 0, 3));
+  QuorumCert cert = BuildQuorumCert(0, {s0->Sign(msg), s1->Sign(msg)});
+  EXPECT_TRUE(store.VerifyCert(msg, cert, /*threshold=*/2));
+  EXPECT_FALSE(store.VerifyCert(msg, cert, 3));
 }
 
 TEST(ProofTest, DuplicateSignersDoNotCount) {
   KeyStore store;
   auto s0 = store.RegisterNode({0, 0});
   Bytes msg = ToBytes("m");
-  std::vector<Signature> proof = {s0->Sign(msg), s0->Sign(msg),
-                                  s0->Sign(msg)};
-  EXPECT_FALSE(store.VerifyProof(msg, proof, 0, 2));
+  QuorumCert cert =
+      BuildQuorumCert(0, {s0->Sign(msg), s0->Sign(msg), s0->Sign(msg)});
+  EXPECT_EQ(cert.signer_count(), 1);
+  EXPECT_FALSE(store.VerifyCert(msg, cert, 2));
 }
 
 TEST(ProofTest, WrongSiteSignaturesIgnored) {
@@ -149,20 +155,24 @@ TEST(ProofTest, WrongSiteSignaturesIgnored) {
   auto s0 = store.RegisterNode({0, 0});
   auto other = store.RegisterNode({1, 0});
   Bytes msg = ToBytes("m");
-  std::vector<Signature> proof = {s0->Sign(msg), other->Sign(msg)};
-  EXPECT_FALSE(store.VerifyProof(msg, proof, /*site=*/0, /*threshold=*/2));
-  EXPECT_TRUE(store.VerifyProof(msg, proof, /*site=*/0, /*threshold=*/1));
+  QuorumCert cert = BuildQuorumCert(/*site=*/0, {s0->Sign(msg),
+                                                 other->Sign(msg)});
+  EXPECT_FALSE(store.VerifyCert(msg, cert, /*threshold=*/2));
+  EXPECT_TRUE(store.VerifyCert(msg, cert, /*threshold=*/1));
 }
 
 TEST(ProofTest, InvalidSignaturesIgnored) {
+  // An invalid MAC never counts toward the threshold. In a cert it does
+  // more: the aggregate binds every MAC, so it fails the whole cert.
   KeyStore store;
   auto s0 = store.RegisterNode({0, 0});
   store.RegisterNode({0, 1});
   Bytes msg = ToBytes("m");
   Signature forged;
   forged.signer = {0, 1};  // claims to be 0-1 but mac is zeroed
-  std::vector<Signature> proof = {s0->Sign(msg), forged};
-  EXPECT_FALSE(store.VerifyProof(msg, proof, 0, 2));
+  QuorumCert cert = BuildQuorumCert(0, {s0->Sign(msg), forged});
+  EXPECT_FALSE(store.VerifyCert(msg, cert, 2));
+  EXPECT_FALSE(store.VerifyCert(msg, cert, 1));
 }
 
 TEST(ProofCodecTest, RoundTrip) {
@@ -180,7 +190,7 @@ TEST(ProofCodecTest, RoundTrip) {
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0], proof[0]);
   EXPECT_EQ(decoded[1], proof[1]);
-  EXPECT_TRUE(store.VerifyProof(msg, decoded, 2, 2));
+  for (const Signature& sig : decoded) EXPECT_TRUE(store.Verify(msg, sig));
 }
 
 TEST(ProofCodecTest, OversizedProofRejected) {

@@ -147,9 +147,10 @@ TEST_P(FuzzDecodeTest, MutatedValidEncodingsNeverCrash) {
   tr.src_log_pos = 11;
   tr.prev_src_log_pos = 9;
   tr.payload = RandomBytes(rng, 128);
-  crypto::Signature sig;
-  sig.signer = {0, 1};
-  tr.sigs = {sig, sig};
+  crypto::QuorumCert cert;
+  cert.site = 0;
+  cert.signer_bits = 0b11;
+  tr.certs = {cert};
   Bytes valid = tr.Encode();
 
   for (int i = 0; i < 300; ++i) {

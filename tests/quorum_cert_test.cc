@@ -1,8 +1,9 @@
 // Quorum-certificate tests (DESIGN.md §14): the compact-cert codec and
 // builder, KeyStore::VerifyCert semantics and its two-generation cert
-// cache, the hardened duplicate-signer proof rejection, and end-to-end
-// deployments where retransmissions, go-back-N replays, and mirror gap
-// backfill all hit the verify-once cert cache.
+// cache, duplicate-signer forgeries, the cert-carrying wire encodings, the
+// signer-bitmap width bound, and end-to-end deployments where
+// retransmissions, go-back-N replays, and mirror gap backfill all hit the
+// verify-once cert cache.
 #include "crypto/quorum_cert.h"
 
 #include <gtest/gtest.h>
@@ -218,13 +219,14 @@ TEST_F(CertVerifyTest, DisabledCacheStillVerifiesCorrectly) {
   EXPECT_FALSE(keys_.VerifyCert(msg_, tampered, 2));
 }
 
-// --- Hardened VerifyProof (duplicate-signer rejection) ----------------------
+// --- Duplicate-signer forgeries -------------------------------------------
 
 TEST(ProofHardeningTest, ForgedDuplicatePoisonsAnOtherwiseValidProof) {
   // The forged-duplicate attack: pad a genuine f_i+1 proof with a second
-  // entry claiming an already-present signer. Before hardening the invalid
-  // duplicate was merely ignored; now any repeated index within the
-  // verifying site rejects the whole proof — honest units never emit one.
+  // entry claiming an already-present signer, hoping to count one
+  // signature twice. A cert's bitmap cannot name a signer twice, so the
+  // padding either collapses on build or, smuggled into the aggregate,
+  // fails verification.
   KeyStore keys;
   auto s0 = keys.RegisterNode({0, 0});
   auto s1 = keys.RegisterNode({0, 1});
@@ -235,13 +237,26 @@ TEST(ProofHardeningTest, ForgedDuplicatePoisonsAnOtherwiseValidProof) {
   Signature forged_dup = sig0;
   forged_dup.mac[0] ^= 0xff;
 
-  ASSERT_TRUE(keys.VerifyProof(msg, {sig0, sig1}, 0, 2));
-  // A forged duplicate of signer 0 — invalid MAC, repeated index.
-  EXPECT_FALSE(keys.VerifyProof(msg, {sig0, forged_dup, sig1}, 0, 2));
-  // A byte-identical duplicate is equally poisonous.
-  EXPECT_FALSE(keys.VerifyProof(msg, {sig0, sig0, sig1}, 0, 2));
+  const QuorumCert genuine = BuildQuorumCert(0, {sig0, sig1});
+  ASSERT_TRUE(keys.VerifyCert(msg, genuine, 2));
+  // A duplicate, forged or byte-identical, collapses onto its first
+  // occurrence: the count stays 2 and cannot reach a threshold of 3.
+  for (const Signature& dup : {forged_dup, sig0}) {
+    QuorumCert padded = BuildQuorumCert(0, {sig0, dup, sig1});
+    EXPECT_EQ(padded, genuine);
+    EXPECT_FALSE(keys.VerifyCert(msg, padded, 3));
+  }
+  // A hand-rolled aggregate that folds the duplicate's MAC in anyway
+  // no longer matches the MACs the bitmap names.
+  Bytes macs;
+  for (const Signature& sig : {sig0, forged_dup, sig1}) {
+    macs.insert(macs.end(), sig.mac.begin(), sig.mac.end());
+  }
+  QuorumCert smuggled = genuine;
+  smuggled.agg = Sha256Digest(macs);
+  EXPECT_FALSE(keys.VerifyCert(msg, smuggled, 2));
   // Other sites' entries are still ignored padding, not duplicates.
-  EXPECT_TRUE(keys.VerifyProof(msg, {sig0, sig1, other->Sign(msg)}, 0, 2));
+  EXPECT_EQ(BuildQuorumCert(0, {sig0, sig1, other->Sign(msg)}), genuine);
 }
 
 }  // namespace
@@ -253,21 +268,100 @@ namespace blockplane::core {
 namespace {
 
 using net::kCalifornia;
+using net::kIreland;
 using net::kOregon;
 using net::kVirginia;
 using net::Topology;
 using sim::Seconds;
 
-BlockplaneOptions QcOptions(int fg = 0) {
+BlockplaneOptions FgOptions(int fg) {
   BlockplaneOptions options;
-  options.qc.enabled = true;
   options.fg = fg;
   return options;
 }
 
+// --- Wire: cert lists are ordinary fields -----------------------------------
+
+crypto::QuorumCert SampleCert(net::SiteId site, int32_t base) {
+  crypto::QuorumCert cert;
+  cert.site = site;
+  cert.index_base = base;
+  cert.signer_bits = 0b11;
+  cert.agg.fill(static_cast<uint8_t>(0x40 + site));
+  return cert;
+}
+
+// Every proper prefix of an encoding that carries certs is corruption —
+// no decoder treats a missing cert list as an absent optional section —
+// and the full encoding decodes back to the same bytes.
+template <typename Msg>
+void ExpectTruncationsAreCorruption(const Msg& msg, const char* what) {
+  const Bytes bytes = msg.Encode();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    Msg out;
+    EXPECT_TRUE(Msg::Decode(Bytes(bytes.begin(), bytes.begin() + len), &out)
+                    .IsCorruption())
+        << what << " length " << len;
+  }
+  Msg back;
+  ASSERT_TRUE(Msg::Decode(bytes, &back).ok()) << what;
+  EXPECT_EQ(back.Encode(), bytes) << what;
+}
+
+TEST(QuorumCertWireTest, EveryTruncationIsCorruption) {
+  TransmissionRecord tr;
+  tr.src_site = kCalifornia;
+  tr.dest_site = kOregon;
+  tr.src_log_pos = 7;
+  tr.prev_src_log_pos = 3;
+  tr.payload = ToBytes("certified");
+  tr.geo_pos = 2;
+  tr.certs = {SampleCert(kCalifornia, 0), SampleCert(kOregon, 100),
+              SampleCert(kVirginia, 100)};
+  ExpectTruncationsAreCorruption(tr, "TransmissionRecord");
+
+  LogRecord received = tr.ToReceivedRecord();
+  ASSERT_EQ(received.certs, tr.certs);
+  ExpectTruncationsAreCorruption(received, "LogRecord");
+
+  GeoReplicateMsg replicate;
+  replicate.acting_site = kOregon;
+  replicate.geo_pos = 4;
+  replicate.record = ToBytes("origin record");
+  replicate.certs = {SampleCert(kOregon, 0)};
+  ExpectTruncationsAreCorruption(replicate, "GeoReplicateMsg");
+
+  GeoProofBundleMsg bundle;
+  bundle.pos = 9;
+  bundle.certs = {SampleCert(kOregon, 100), SampleCert(kIreland, 100)};
+  ExpectTruncationsAreCorruption(bundle, "GeoProofBundleMsg");
+}
+
+TEST(QuorumCertDeathTest, DeploymentRejectsUnitsWiderThanTheSignerBitmap) {
+  // A unit of 3f_i+1 nodes must fit the 64-bit signer bitmap, or its
+  // proofs could never be certified: f_i = 21 (64 nodes) is the widest.
+  {
+    sim::Simulator simulator(1);
+    BlockplaneOptions options;
+    options.fi = 21;
+    Deployment deployment(&simulator, Topology::Aws4(), options);
+    EXPECT_EQ(deployment.options().fi, 21);
+  }
+  EXPECT_DEATH(
+      {
+        sim::Simulator simulator(1);
+        BlockplaneOptions options;
+        options.fi = 22;
+        Deployment deployment(&simulator, Topology::Aws4(), options);
+      },
+      "quorum certificate covers at most 64 signers");
+}
+
+// --- End to end ---------------------------------------------------------------
+
 TEST(QuorumCertEndToEndTest, SendsShipCertsAndEveryExtraHopHitsTheCache) {
   sim::Simulator simulator(11);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions());
+  Deployment deployment(&simulator, Topology::Aws4(), BlockplaneOptions{});
   qc_stats().Reset();
 
   Participant* sender = deployment.participant(kCalifornia);
@@ -305,7 +399,7 @@ TEST(QuorumCertEndToEndTest, DuplicateQcTransmissionChecksItsCertOnce) {
   // checks nothing; admission checks the cert through the cert cache, so
   // the f_i+1 MACs are recomputed once in all and the record commits once.
   sim::Simulator simulator(17);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions());
+  Deployment deployment(&simulator, Topology::Aws4(), BlockplaneOptions{});
   TransmissionRecord tr;
   tr.src_site = kCalifornia;
   tr.dest_site = kOregon;
@@ -320,7 +414,7 @@ TEST(QuorumCertEndToEndTest, DuplicateQcTransmissionChecksItsCertOnce) {
     sigs.push_back(
         deployment.keys()->RegisterNode({kCalifornia, i})->Sign(canonical));
   }
-  tr.sig_certs = {crypto::BuildQuorumCert(kCalifornia, sigs)};
+  tr.certs = {crypto::BuildQuorumCert(kCalifornia, sigs)};
   qc_stats().Reset();
 
   for (int copy = 0; copy < 2; ++copy) {
@@ -346,11 +440,13 @@ TEST(QuorumCertEndToEndTest, DuplicateQcTransmissionChecksItsCertOnce) {
   qc_stats().Reset();
 }
 
-TEST(QuorumCertEndToEndTest, QcOffBuildsNoCerts) {
-  // The default configuration must not touch the qc pipeline at all —
-  // the wire stays v1-byte-identical and the counters stay zero.
+TEST(QuorumCertEndToEndTest, UnsignedModeShipsCertsWithoutCheckingThem) {
+  // sign_messages = false skips the receive-side checks only: the wire
+  // format is the same, so the source still certifies every decision.
   sim::Simulator simulator(13);
-  Deployment deployment(&simulator, Topology::Aws4(), {});
+  BlockplaneOptions options;
+  options.sign_messages = false;
+  Deployment deployment(&simulator, Topology::Aws4(), options);
   qc_stats().Reset();
 
   Participant* receiver = deployment.participant(kOregon);
@@ -361,9 +457,15 @@ TEST(QuorumCertEndToEndTest, QcOffBuildsNoCerts) {
       [&] { return receiver->TryReceive(kCalifornia, &payload); },
       Seconds(60)));
   simulator.RunFor(Seconds(2));
-  EXPECT_EQ(qc_stats().certs_built, 0);
+  EXPECT_EQ(qc_stats().certs_built, 1);
   EXPECT_EQ(qc_stats().certs_verified, 0);
   EXPECT_EQ(qc_stats().cache_hits, 0);
+  EXPECT_GT(qc_stats().wan_proof_bytes, 0);
+  const auto& log = deployment.node(kOregon, 0)->log();
+  ASSERT_FALSE(log.empty());
+  ASSERT_EQ(log.begin()->second.certs.size(), 1u);
+  EXPECT_EQ(log.begin()->second.certs[0].site, kCalifornia);
+  qc_stats().Reset();
 }
 
 TEST(QuorumCertEndToEndTest, RetransmissionsAfterAPartitionHitTheCache) {
@@ -371,7 +473,7 @@ TEST(QuorumCertEndToEndTest, RetransmissionsAfterAPartitionHitTheCache) {
   // 3f_i+1 receivers) once the link heals; the replayed flights carry the
   // same certificate, so every re-verify is a cache probe, not f_i+1 MACs.
   sim::Simulator simulator(17);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions());
+  Deployment deployment(&simulator, Topology::Aws4(), BlockplaneOptions{});
   qc_stats().Reset();
 
   Participant* sender = deployment.participant(kCalifornia);
@@ -408,7 +510,7 @@ TEST(QuorumCertEndToEndTest, MirrorGapBackfillHitsTheCache) {
   // certs, already verified deployment-wide during the original
   // replication — the gap fill must ride the cert cache.
   sim::Simulator simulator(19);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions(/*fg=*/1));
+  Deployment deployment(&simulator, Topology::Aws4(), FgOptions(/*fg=*/1));
   robustness_stats().Reset();
 
   auto commit = [&](const std::string& payload) {
@@ -452,7 +554,7 @@ TEST(QuorumCertEndToEndTest, GeoCommitsCarryCertsInReplicationAndBundles) {
   // fg > 0 exercises both geo cert paths: replicate messages carry the
   // source unit's cert, and proof bundles carry one cert per acking site.
   sim::Simulator simulator(23);
-  Deployment deployment(&simulator, Topology::Aws4(), QcOptions(/*fg=*/1));
+  Deployment deployment(&simulator, Topology::Aws4(), FgOptions(/*fg=*/1));
   qc_stats().Reset();
 
   int completed = 0;

@@ -1,5 +1,5 @@
 // Structured round-trip property tests: randomly generated Local Log
-// records and transmission records (with proofs) must encode/decode to
+// records and transmission records (with certs) must encode/decode to
 // exactly equal values, and content digests must be stable under
 // re-encoding and sensitive to every identity field.
 #include <gtest/gtest.h>
@@ -26,6 +26,21 @@ crypto::Signature RandomSig(Rng& rng) {
   return sig;
 }
 
+crypto::QuorumCert RandomCert(Rng& rng) {
+  crypto::QuorumCert cert;
+  cert.site = static_cast<net::SiteId>(rng.NextBelow(4));
+  cert.index_base = static_cast<int32_t>(rng.NextBelow(500));
+  cert.signer_bits = rng.NextU64();
+  for (auto& b : cert.agg) b = static_cast<uint8_t>(rng.NextU64());
+  return cert;
+}
+
+std::vector<crypto::QuorumCert> RandomCerts(Rng& rng, uint64_t max) {
+  std::vector<crypto::QuorumCert> certs(rng.NextBelow(max + 1));
+  for (auto& cert : certs) cert = RandomCert(rng);
+  return certs;
+}
+
 LogRecord RandomRecord(Rng& rng) {
   LogRecord record;
   record.type = static_cast<RecordType>(1 + rng.NextBelow(4));
@@ -39,9 +54,7 @@ LogRecord RandomRecord(Rng& rng) {
   for (uint64_t i = 0; i < rng.NextBelow(4); ++i) {
     record.proof.push_back(RandomSig(rng));
   }
-  for (uint64_t i = 0; i < rng.NextBelow(4); ++i) {
-    record.geo_proof.push_back(RandomSig(rng));
-  }
+  record.certs = RandomCerts(rng, 4);
   return record;
 }
 
@@ -50,7 +63,7 @@ bool RecordsEqual(const LogRecord& a, const LogRecord& b) {
          a.payload == b.payload && a.dest_site == b.dest_site &&
          a.src_site == b.src_site && a.src_log_pos == b.src_log_pos &&
          a.prev_src_log_pos == b.prev_src_log_pos && a.geo_pos == b.geo_pos &&
-         a.proof == b.proof && a.geo_proof == b.geo_proof;
+         a.proof == b.proof && a.certs == b.certs;
 }
 
 class RecordRoundTripTest : public ::testing::TestWithParam<int> {};
@@ -79,12 +92,11 @@ TEST_P(RecordRoundTripTest, TransmissionRecordsRoundTripExactly) {
     tr.routine_id = rng.NextBelow(100);
     tr.payload = RandomPayload(rng, 200);
     tr.geo_pos = rng.NextBelow(1000);
-    for (uint64_t s = 0; s < 1 + rng.NextBelow(3); ++s) {
-      tr.sigs.push_back(RandomSig(rng));
-    }
+    tr.certs = RandomCerts(rng, 4);
     TransmissionRecord decoded;
     ASSERT_TRUE(TransmissionRecord::Decode(tr.Encode(), &decoded).ok());
     EXPECT_EQ(tr.Encode(), decoded.Encode());
+    EXPECT_EQ(decoded.certs, tr.certs);
     // The transmission's digest equals its received-record form's digest —
     // the invariant source attestations and receive verification share.
     EXPECT_EQ(tr.ContentDigest(),
@@ -167,10 +179,7 @@ TEST_P(RecordRoundTripTest, SameContentMovesInLockstepWithContentDigest) {
     // Authentication material is outside both.
     const std::vector<std::pair<const char*, void (*)(LogRecord*)>> excluded =
         {{"proof", [](LogRecord* r) { r->proof.emplace_back(); }},
-         {"geo_proof", [](LogRecord* r) { r->geo_proof.emplace_back(); }},
-         {"proof_certs",
-          [](LogRecord* r) { r->proof_certs.emplace_back(); }},
-         {"geo_certs", [](LogRecord* r) { r->geo_certs.emplace_back(); }}};
+         {"certs", [](LogRecord* r) { r->certs.emplace_back(); }}};
     for (const auto& [what, mutate] : excluded) {
       LogRecord mutated = base;
       mutate(&mutated);
